@@ -3,7 +3,8 @@
 Every subcommand is deterministic given its flags and seed; randomized
 commands take --seed, which falls back to the KURAMEM_SEED environment
 variable and then to 0. Exit codes: 1 I/O failure, 2 parameter domain
-error, 3 enumeration budget exceeded.
+error, 3 enumeration budget exceeded, 4 `audit` found a stable spurious
+memory.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -117,7 +119,10 @@ def cmd_enumerate(args) -> int:
 def cmd_capacity(args) -> int:
     if args.exact and args.sample is not None:
         raise ParameterDomainError("--exact and --sample are mutually exclusive")
+    if args.sample is not None and args.jobs > 1:
+        raise ParameterDomainError("--jobs is not supported with --sample")
     g = _graph_from_args(args)
+    start = time.perf_counter()
     if args.sample is not None:
         est = sample_estimate(g, args.sample, seed=_resolve_seed(args.seed))
         mode = "sample"
@@ -130,7 +135,8 @@ def cmd_capacity(args) -> int:
         "param2": args.m if args.m is not None else (args.cols or 0),
         "n_nodes": g.n, "mode": mode, "count": est.count,
         "ci_low": est.ci_low, "ci_high": est.ci_high,
-        "samples": est.samples, "seed": est.seed, "wall_ms": 0,
+        "samples": est.samples, "seed": est.seed,
+        "wall_ms": format(1000.0 * (time.perf_counter() - start), ".3f"),
     }
     _write_output(results_to_csv([row]), args.output)
     return 0

@@ -54,15 +54,27 @@ def _check_length(theta: np.ndarray, g: Graph, name: str = "theta") -> np.ndarra
     return theta
 
 
-def rhs(theta: np.ndarray, g: Graph, omega: np.ndarray | None = None) -> np.ndarray:
+def batch_edge_ends(g: Graph, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of each edge's tail and head in a (rows, n) batch, row
+    after row, so the first k*E entries cover the first k rows."""
+    offsets = (np.arange(rows) * g.n)[:, None]
+    return (g.edge_tails + offsets).ravel(), (g.edge_heads + offsets).ravel()
+
+
+def rhs(theta: np.ndarray, g: Graph, omega: np.ndarray | None = None,
+        edge_ends: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Kuramoto velocity of every oscillator.
 
-    Accepts a single state (n,) or a batch (m, n); the batch form is used
-    by the vectorized integrator.
+    Accepts a single state (n,) or a batch (m, n); the vectorized
+    integrator passes edge_ends = batch_edge_ends(g, m) for the latter.
     """
     theta = _check_length(theta, g)
-    s = np.sin(theta[..., g.edge_heads] - theta[..., g.edge_tails])
-    out = g.coupling * (s @ g.edge_to_node)
+    tails, heads = edge_ends or ((g.edge_tails, g.edge_heads) if theta.ndim == 1
+                                 else batch_edge_ends(g, theta.size // g.n))
+    flat = theta.ravel()
+    s = g.coupling * np.sin(flat[heads] - flat[tails])
+    out = np.bincount(tails, s, flat.size) - np.bincount(heads, s, flat.size)
+    out = out.reshape(theta.shape)
     if omega is not None:
         omega = _check_length(omega, g, "omega")
         out = out + omega
@@ -220,10 +232,11 @@ def integrate_batch(thetas: np.ndarray, g: Graph,
     t_elapsed = np.zeros(m)
     active = np.arange(m)
     th = thetas
+    all_ends = rows_ends = batch_edge_ends(g, m)
     steps = int(np.ceil(t_max / dt))
     t = 0.0
     for step in range(steps + 1):
-        k1 = rhs(th, g)
+        k1 = rhs(th, g, edge_ends=rows_ends)
         if step % check_every == 0 or step == steps:
             done = np.max(np.abs(k1), axis=1) < conv_tol
             if np.any(done):
@@ -235,11 +248,12 @@ def integrate_batch(thetas: np.ndarray, g: Graph,
                 th, k1, active = th[keep], k1[keep], active[keep]
                 if active.size == 0:
                     break
+                rows_ends = tuple(a[:active.size * len(g.edges)] for a in all_ends)
         if step == steps:
             break
-        k2 = rhs(th + 0.5 * dt * k1, g)
-        k3 = rhs(th + 0.5 * dt * k2, g)
-        k4 = rhs(th + dt * k3, g)
+        k2 = rhs(th + 0.5 * dt * k1, g, edge_ends=rows_ends)
+        k3 = rhs(th + 0.5 * dt * k2, g, edge_ends=rows_ends)
+        k4 = rhs(th + dt * k3, g, edge_ends=rows_ends)
         th = th + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(th)):
             raise IntegrationBlowUpError(f"non-finite state at t = {t:.6g}")

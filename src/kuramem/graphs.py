@@ -2,8 +2,8 @@
 
 All graphs are undirected, connected, uniformly weighted, with 1-based
 node ids. Each carries an ordered cycle basis (one closed walk per
-independent cycle) and an oriented incidence matrix whose columns point
-from the smaller to the larger node id.
+independent cycle) and its edge endpoints as index arrays, every edge
+oriented from the smaller to the larger node id.
 """
 from __future__ import annotations
 
@@ -40,16 +40,6 @@ class Graph:
     cycle_basis: tuple[Cycle, ...] = ()
 
     @cached_property
-    def incidence(self) -> np.ndarray:
-        """Oriented node x edge incidence matrix B: -1 at the smaller
-        node id of each edge, +1 at the larger."""
-        B = np.zeros((self.n, len(self.edges)))
-        for e, (a, b) in enumerate(self.edges):
-            B[a - 1, e] = -1.0
-            B[b - 1, e] = 1.0
-        return B
-
-    @cached_property
     def edge_tails(self) -> np.ndarray:
         """0-based smaller endpoint of each edge."""
         return np.array([a - 1 for a, _ in self.edges], dtype=np.intp)
@@ -62,17 +52,6 @@ class Graph:
     @cached_property
     def edge_index(self) -> dict[Edge, int]:
         return {e: i for i, e in enumerate(self.edges)}
-
-    @cached_property
-    def edge_to_node(self) -> np.ndarray:
-        """(E, n) scatter matrix: +1 at the smaller endpoint, -1 at the
-        larger. Right-multiplying per-edge sine terms by this matrix
-        accumulates the coupling sum at each node."""
-        A = np.zeros((len(self.edges), self.n))
-        idx = np.arange(len(self.edges))
-        A[idx, self.edge_tails] = 1.0
-        A[idx, self.edge_heads] = -1.0
-        return A
 
 
 def _validated_graph(n: int, edges: list[Edge], cycles: list[Cycle],
@@ -274,7 +253,8 @@ def cycle_edge_signs(g: Graph) -> np.ndarray:
 
     Entry +1 where the cycle traverses an edge from its smaller to its
     larger node id, -1 for the opposite direction. Rows are members of
-    the graph's cycle space: incidence @ row == 0.
+    the graph's cycle space: each is a circulation, with zero net flow
+    at every node.
     """
     C = np.zeros((len(g.cycle_basis), len(g.edges)))
     for s, cyc in enumerate(g.cycle_basis):
@@ -287,15 +267,15 @@ def cycle_edge_signs(g: Graph) -> np.ndarray:
     return C
 
 
+def graph_payload(g: Graph) -> dict:
+    """The interchange schema as a dict (1-based ids, sorted edges)."""
+    return {"n": g.n, "coupling_c": g.coupling, "edges": [list(e) for e in g.edges],
+            "cycle_basis": [list(c) for c in g.cycle_basis]}
+
+
 def graph_to_json(g: Graph) -> str:
-    """Serialize to the interchange schema (1-based ids, sorted edges)."""
-    payload = {
-        "n": g.n,
-        "coupling_c": g.coupling,
-        "edges": [list(e) for e in g.edges],
-        "cycle_basis": [list(c) for c in g.cycle_basis],
-    }
-    return jsonutil.dumps(payload)
+    """Serialize to the interchange schema."""
+    return jsonutil.dumps(graph_payload(g))
 
 
 def graph_from_json(text: str) -> Graph:

@@ -100,6 +100,21 @@ def test_capacity_sampled_from_graph_file(tmp_path, g9):
     assert float(row[5]) == 9.0
 
 
+def test_capacity_sample_rejects_jobs(tmp_path, g9):
+    res = run_cli(["capacity", "--graph", "g9.json", "--sample", "5",
+                   "--jobs", "2"], tmp_path)
+    assert res.returncode == 2
+    assert "--jobs" in res.stderr and res.stdout == ""
+
+
+def test_capacity_times_the_count(tmp_path, g9):
+    res = run_cli(["capacity", "--graph", "g9.json", "--exact"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    header, row = res.stdout.strip().split("\n")
+    assert header.endswith(",wall_ms")
+    assert float(row.split(",")[-1]) > 0
+
+
 def test_retrieve_zero_noise_round_trip(tmp_path, g9):
     res = run_cli(["retrieve", "--graph", "g9.json", "--pattern", "0010",
                    "--noise", "0.0", "--seed", "1"], tmp_path)

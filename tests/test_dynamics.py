@@ -8,6 +8,7 @@ from kuramem import (NotAnEquilibriumError, build_honeycomb, build_hex_array,
                      classify_stability, construct_config, energy, integrate,
                      jacobian, rhs, wrap_angle)
 from kuramem.dynamics import integrate_batch
+from test_graphs import ALL_BUILDERS, oriented_incidence
 
 FD_STEP = 1e-6
 
@@ -85,6 +86,23 @@ def test_rhs_is_minus_energy_gradient_on_square():
     np.testing.assert_allclose(rhs(theta, g), -grad, atol=1e-6)
 
 
+@pytest.mark.parametrize("builder,params", ALL_BUILDERS)
+def test_rhs_matches_dense_incidence_product(builder, params):
+    # reference: rhs = omega - c * B sin(B^T theta), row by row for a batch
+    g = builder(*params, coupling=1.5)
+    B = oriented_incidence(g)
+    rng = np.random.default_rng(len(g.edges))
+    theta = rng.uniform(-np.pi, np.pi, g.n)
+    batch = rng.uniform(-np.pi, np.pi, (7, g.n))
+    omega = rng.normal(size=g.n)
+    dense = -1.5 * B @ np.sin(B.T @ theta)
+    np.testing.assert_allclose(rhs(theta, g), dense, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rhs(batch, g), -1.5 * np.sin(batch @ B) @ B.T,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rhs(theta, g, omega), dense + omega,
+                               rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("builder,params,seed", [
     (build_honeycomb, (5, 2), 1),
     (build_honeycomb, (6, 3), 2),
@@ -127,7 +145,8 @@ def test_rotation_invariance(alpha, seed):
 def test_jacobian_at_synchrony_is_minus_laplacian():
     g = build_honeycomb(5, 1, coupling=1.5)
     J = jacobian(np.zeros(g.n), g)
-    L = g.incidence @ g.incidence.T
+    B = oriented_incidence(g)
+    L = B @ B.T
     np.testing.assert_allclose(J, -1.5 * L, atol=1e-12)
 
 

@@ -12,6 +12,8 @@ from kuramem import (EnumerationBudgetError, ParameterDomainError,
                      enumerate_exact, is_phase_cohesive, max_winding, rhs,
                      winding_box, winding_box_size, winding_constrained_solve,
                      winding_vector, wrap_angle)
+from kuramem import equilibria
+from kuramem.dynamics import integrate_batch
 from kuramem.equilibria import equilibria_to_json
 
 
@@ -213,6 +215,26 @@ def test_audit_parallel_matches_serial():
     b = audit_spurious(g, known, trials=64, seed=9, jobs=2)
     assert a.match_counts == b.match_counts
     assert a.non_converged == b.non_converged
+
+
+def test_audit_chunked_matches_one_batch(monkeypatch):
+    g = build_honeycomb(5, 2)
+    known = enumerate_exact(g)
+    batch_rows = []
+
+    def spy(states, *args, **kwargs):
+        batch_rows.append(len(states))
+        return integrate_batch(states, *args, **kwargs)
+
+    monkeypatch.setattr(equilibria, "integrate_batch", spy)
+    chunked = audit_spurious(g, known, trials=70, seed=4)
+    assert batch_rows == [35, 35]
+    monkeypatch.setattr(equilibria, "AUDIT_CHUNK_ROWS", 70)
+    whole = audit_spurious(g, known, trials=70, seed=4)
+    assert batch_rows == [35, 35, 70]
+    assert chunked.summary_lines() == whole.summary_lines()
+    assert chunked.match_counts == whole.match_counts
+    assert chunked.matched == 70
 
 
 def test_degree_two_balance_at_stable_equilibria():
