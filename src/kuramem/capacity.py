@@ -17,7 +17,7 @@ import numpy as np
 from .dynamics import DEFAULT_CONV_TOL
 from .equilibria import (ENUMERATION_BUDGET, enumerate_exact, winding_box,
                          winding_box_size, winding_constrained_solve)
-from .errors import ParameterDomainError
+from .errors import KuramemError, ParameterDomainError
 from .graphs import (Graph, build_hex_array, build_honeycomb,
                      build_honeycomb_chain, build_square_array, build_tri_array)
 
@@ -138,7 +138,7 @@ RESULT_FIELDS = ("topology", "param1", "param2", "n_nodes", "mode", "count",
 def _family_rows(family: dict) -> list[tuple[str, int, int]]:
     kind = family["topology"]
     if kind not in _BUILDERS:
-        raise ParameterDomainError(f"unknown topology {kind!r} in experiment config")
+        raise ParameterDomainError(f"unknown topology {kind!r}")
     if "m_values" in family:
         nc = int(family["nc"])
         return [(kind, nc, int(m)) for m in family["m_values"]]
@@ -155,14 +155,19 @@ def run_experiment(config: dict, jobs: int = 1) -> list[dict]:
     families, a list of {"topology": ..., "nc": ..., "m_values": [...]}
     or {"topology": ..., "sizes": [[r, c], ...]} entries. Rows whose
     winding box is at most exact_threshold are enumerated exactly, the
-    rest sampled. Per-row failures are recorded, not fatal.
+    rest sampled. A row that fails with a KuramemError is recorded as an
+    `error` row and the sweep goes on; any other exception is a bug and
+    propagates.
     """
-    base_seed = int(config.get("seed", 0))
-    samples = int(config.get("samples", DEFAULT_SAMPLES))
-    threshold = int(config.get("exact_threshold", EXACT_THRESHOLD))
-    rows: list[tuple[str, int, int]] = []
-    for family in config.get("families", []):
-        rows.extend(_family_rows(family))
+    try:
+        base_seed = int(config.get("seed", 0))
+        samples = int(config.get("samples", DEFAULT_SAMPLES))
+        threshold = int(config.get("exact_threshold", EXACT_THRESHOLD))
+        rows = [r for family in config.get("families", []) for r in _family_rows(family)]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParameterDomainError(f"malformed experiment config: {exc}") from exc
+    if base_seed < 0:
+        raise ParameterDomainError(f"experiment seed must be >= 0, got {base_seed}")
 
     out = []
     for index, (kind, p1, p2) in enumerate(rows):
@@ -181,7 +186,7 @@ def run_experiment(config: dict, jobs: int = 1) -> list[dict]:
                 record["mode"] = "sample"
                 record["samples"] = samples
             record.update(count=est.count, ci_low=est.ci_low, ci_high=est.ci_high)
-        except Exception as exc:  # keep sweeping, report the failure in-row
+        except KuramemError as exc:  # keep sweeping, report the failure in-row
             record.update(n_nodes=record.get("n_nodes", 0), mode="error",
                           count="", ci_low="", ci_high="", error=str(exc))
         record["wall_ms"] = format(1000.0 * (time.perf_counter() - start), ".3f")

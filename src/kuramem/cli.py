@@ -22,7 +22,7 @@ from .capacity import (build_topology, count_exact, results_to_csv,
 from .dynamics import DEFAULT_CONV_TOL, DEFAULT_DT, DEFAULT_T_MAX, integrate
 from .equilibria import audit_spurious, enumerate_exact, equilibria_to_json
 from .errors import (EnumerationBudgetError, IntegrationBlowUpError,
-                     KuramemError, ParameterDomainError, RetrievalError)
+                     ParameterDomainError, RetrievalError)
 from .graphs import Graph, graph_from_json, graph_to_json
 from .memory import PatternCodec, decode, retrieve, store
 from .plotting import write_capacity_svg
@@ -31,20 +31,27 @@ SEED_ENV = "KURAMEM_SEED"
 
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
+    if value is None:
+        env = os.environ.get(SEED_ENV, "0")
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise ParameterDomainError(f"{SEED_ENV}={env!r} is not an integer")
-    return 0
+    if value < 0:
+        raise ParameterDomainError(f"seed must be >= 0, got {value}")
+    return value
+
+
+def _read_text(path: str) -> str:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParameterDomainError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_json(fh.read())
+    return graph_from_json(_read_text(path))
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -185,10 +192,12 @@ def cmd_simulate(args) -> int:
         rng = np.random.default_rng(_resolve_seed(args.seed))
         theta0 = rng.uniform(-np.pi, np.pi, g.n)
     else:
-        with open(args.init, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        values = payload["theta"] if isinstance(payload, dict) else payload
-        theta0 = np.asarray([float(x) for x in values])
+        try:
+            payload = json.loads(_read_text(args.init))
+            values = payload["theta"] if isinstance(payload, dict) else payload
+            theta0 = np.asarray([float(x) for x in values])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParameterDomainError(f"malformed state {args.init}: {exc}") from exc
         if len(theta0) != g.n:
             raise ParameterDomainError(
                 f"initial state has {len(theta0)} entries, graph has {g.n}")
@@ -218,8 +227,10 @@ def cmd_audit(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+    try:
+        config = json.loads(_read_text(args.config))
+    except ValueError as exc:
+        raise ParameterDomainError(f"malformed config {args.config}: {exc}") from exc
     if args.seed is not None or SEED_ENV in os.environ:
         config["seed"] = _resolve_seed(args.seed)
     rows = run_experiment(config, jobs=args.jobs)
@@ -229,9 +240,9 @@ def cmd_experiment(args) -> int:
 
 def cmd_plot(args) -> int:
     import csv
+    import io
 
-    with open(args.results, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = list(csv.DictReader(io.StringIO(_read_text(args.results), newline="")))
     _write_output(write_capacity_svg(rows), args.output)
     return 0
 
@@ -330,8 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     except EnumerationBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParameterDomainError, RetrievalError, IntegrationBlowUpError,
-            KuramemError, ValueError) as exc:
+    except (ParameterDomainError, RetrievalError, IntegrationBlowUpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

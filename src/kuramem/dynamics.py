@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationBlowUpError, NotAnEquilibriumError
+from .errors import IntegrationBlowUpError, NotAnEquilibriumError, ParameterDomainError
 from .graphs import Graph
 
 TWO_PI = 2.0 * np.pi
@@ -171,89 +171,65 @@ def integrate(theta0: np.ndarray, g: Graph, omega: np.ndarray | None = None,
               dt: float = DEFAULT_DT, t_max: float = DEFAULT_T_MAX,
               conv_tol: float = DEFAULT_CONV_TOL,
               record_stride: int | None = None) -> IntegrationResult:
-    """Fixed-step classical RK4 integration until phase locking.
+    """Fixed-step classical RK4 integration of one state until phase
+    locking: the one-row case of integrate_batch."""
+    final, converged, t_elapsed, trajectory = integrate_batch(
+        _check_length(theta0, g)[None], g, omega, dt, t_max, conv_tol, record_stride)
+    return IntegrationResult(theta=final[0], converged=bool(converged[0]),
+                             t_elapsed=float(t_elapsed[0]), trajectory=trajectory)
+
+
+def integrate_batch(thetas: np.ndarray, g: Graph, omega: np.ndarray | None = None,
+                    dt: float = DEFAULT_DT, t_max: float = DEFAULT_T_MAX,
+                    conv_tol: float = DEFAULT_CONV_TOL, record_stride: int | None = None
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list | None]:
+    """Fixed-step classical RK4 integration of many states until each locks.
 
     Runs in the frame co-rotating at the mean natural frequency, so a
-    phase-locked configuration registers as |rhs|_inf < conv_tol and
-    triggers early return. When record_stride is given, every stride-th
-    raw state (plus the final one) is collected for trajectory dumps.
+    phase-locked row registers as |rhs|_inf < conv_tol. Every step checks
+    that on the stage already computed and drops locked rows. A one-row
+    batch may pass record_stride to collect every stride-th raw state (plus
+    the final one) as (t, theta) pairs. Returns (final canonical states,
+    converged flags, elapsed times, trajectory or None).
     """
-    if dt <= 0 or t_max <= 0:
-        raise ValueError(f"dt and t_max must be positive, got {dt}, {t_max}")
-    theta = _check_length(theta0, g).copy()
-    if omega is None:
-        om = None
-    else:
-        omega = _check_length(omega, g, "omega")
-        om = omega - float(np.mean(omega))
-
-    steps = int(np.ceil(t_max / dt))
-    trajectory = [] if record_stride else None
-    t = 0.0
-    converged = False
-    for step in range(steps + 1):
-        k1 = rhs(theta, g, om)
-        if trajectory is not None and step % record_stride == 0:
-            trajectory.append((t, theta.copy()))
-        if float(np.max(np.abs(k1))) < conv_tol:
-            converged = True
-            break
-        if step == steps:
-            break
-        k2 = rhs(theta + 0.5 * dt * k1, g, om)
-        k3 = rhs(theta + 0.5 * dt * k2, g, om)
-        k4 = rhs(theta + dt * k3, g, om)
-        theta = theta + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(theta)):
-            raise IntegrationBlowUpError(f"non-finite state at t = {t:.6g}")
-        t += dt
-    if trajectory is not None and (not trajectory or trajectory[-1][0] != t):
-        trajectory.append((t, theta.copy()))
-    return IntegrationResult(theta=canonicalize(theta), converged=converged,
-                             t_elapsed=t, trajectory=trajectory)
-
-
-def integrate_batch(thetas: np.ndarray, g: Graph,
-                    dt: float = DEFAULT_DT, t_max: float = DEFAULT_T_MAX,
-                    conv_tol: float = DEFAULT_CONV_TOL,
-                    check_every: int = 20) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integrate many zero-frequency initial states at once.
-
-    Same RK4 scheme and convergence rule as integrate(); rows are dropped
-    from the active set as they lock (checked every check_every steps, on
-    the stage already computed, so the test costs nothing extra). Returns
-    (final canonical states, converged flags, elapsed times).
-    """
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float)).copy()
-    m = thetas.shape[0]
-    _check_length(thetas, g)
-    final = np.empty_like(thetas)
+    if not (0 < dt < np.inf and 0 < t_max < np.inf):
+        raise ParameterDomainError(f"dt, t_max must be finite and > 0, got {dt}, {t_max}")
+    th = _check_length(np.atleast_2d(thetas), g).copy()
+    m = th.shape[0]
+    if record_stride is not None and record_stride < 1:
+        raise ParameterDomainError(f"record_stride must be >= 1, got {record_stride}")
+    if record_stride is not None and m != 1:
+        raise ParameterDomainError(f"record_stride needs a one-row batch, got {m} rows")
+    if omega is not None:
+        omega = np.asarray(omega, dtype=float) - float(np.mean(omega))
+    final = np.empty_like(th)
     converged = np.zeros(m, dtype=bool)
     t_elapsed = np.zeros(m)
     active = np.arange(m)
-    th = thetas
     all_ends = rows_ends = batch_edge_ends(g, m)
+    trajectory = [] if record_stride else None
     steps = int(np.ceil(t_max / dt))
     t = 0.0
     for step in range(steps + 1):
-        k1 = rhs(th, g, edge_ends=rows_ends)
-        if step % check_every == 0 or step == steps:
-            done = np.max(np.abs(k1), axis=1) < conv_tol
-            if np.any(done):
-                idx = active[done]
-                final[idx] = th[done]
-                converged[idx] = True
-                t_elapsed[idx] = t
-                keep = ~done
-                th, k1, active = th[keep], k1[keep], active[keep]
-                if active.size == 0:
-                    break
-                rows_ends = tuple(a[:active.size * len(g.edges)] for a in all_ends)
+        k1 = rhs(th, g, omega, rows_ends)
+        if trajectory is not None and step % record_stride == 0:
+            trajectory.append((t, th[0].copy()))
+        done = (np.abs(k1) < conv_tol).all(axis=1)
+        if done.any():
+            idx = active[done]
+            final[idx] = th[done]
+            converged[idx] = True
+            t_elapsed[idx] = t
+            keep = ~done
+            th, k1, active = th[keep], k1[keep], active[keep]
+            if active.size == 0:
+                break
+            rows_ends = tuple(a[:active.size * len(g.edges)] for a in all_ends)
         if step == steps:
             break
-        k2 = rhs(th + 0.5 * dt * k1, g, edge_ends=rows_ends)
-        k3 = rhs(th + 0.5 * dt * k2, g, edge_ends=rows_ends)
-        k4 = rhs(th + dt * k3, g, edge_ends=rows_ends)
+        k2 = rhs(th + 0.5 * dt * k1, g, omega, rows_ends)
+        k3 = rhs(th + 0.5 * dt * k2, g, omega, rows_ends)
+        k4 = rhs(th + dt * k3, g, omega, rows_ends)
         th = th + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(th)):
             raise IntegrationBlowUpError(f"non-finite state at t = {t:.6g}")
@@ -261,5 +237,7 @@ def integrate_batch(thetas: np.ndarray, g: Graph,
     if active.size:
         final[active] = th
         t_elapsed[active] = t
+    if trajectory is not None and trajectory[-1][0] != t:
+        trajectory.append((t, final[0].copy()))
     final = wrap_angle(final - final[:, :1])
-    return final, converged, t_elapsed
+    return final, converged, t_elapsed, trajectory

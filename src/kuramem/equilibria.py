@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonutil
-from .dynamics import (DEFAULT_CONV_TOL, DEFAULT_ZERO_TOL, StabilityVerdict,
-                       canonical_distance, canonicalize, classify_stability,
-                       energy, integrate, integrate_batch, rhs, wrap_angle)
+from .dynamics import (DEFAULT_CONV_TOL, DEFAULT_DT, DEFAULT_T_MAX, DEFAULT_ZERO_TOL,
+                       StabilityVerdict, canonical_distance, canonicalize,
+                       classify_stability, energy, integrate, integrate_batch,
+                       rhs, wrap_angle)
 from .errors import NonIntegerWindingError, ParameterDomainError, EnumerationBudgetError
 from .graphs import Graph, cycle_edge_signs, graph_payload
 
@@ -328,7 +329,7 @@ def _audit_chunk(args):
 
 
 def audit_spurious(g: Graph, known: list[Equilibrium], trials: int,
-                   seed: int = 0, dt: float = 0.01, t_max: float = 1000.0,
+                   seed: int = 0, dt: float = DEFAULT_DT, t_max: float = DEFAULT_T_MAX,
                    conv_tol: float = DEFAULT_CONV_TOL,
                    match_tol: float = MATCH_TOL,
                    jobs: int = 1) -> AuditReport:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import ParameterDomainError
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 WIDTH, HEIGHT = 640, 440
@@ -34,20 +36,22 @@ def write_capacity_svg(rows: list[dict]) -> str:
         try:
             count = float(row["count"])
             n = float(row["n_nodes"])
+            lo = float(row.get("ci_low") or count)
+            hi = float(row.get("ci_high") or count)
         except (KeyError, TypeError, ValueError):
             continue
-        if count <= 0 or n <= 0:
+        if not all(map(math.isfinite, (count, n, lo, hi))) or count <= 0 or n <= 0:
             continue
         points.append({
             "family": family_key(row),
             "n": n,
             "count": count,
-            "lo": max(float(row.get("ci_low") or count), 1e-9),
-            "hi": max(float(row.get("ci_high") or count), 1e-9),
+            "lo": max(lo, 1e-9),
+            "hi": max(hi, 1e-9),
             "sampled": str(row.get("mode", "exact")) == "sample",
         })
     if not points:
-        raise ValueError("no plottable rows")
+        raise ParameterDomainError("no plottable rows")
 
     x_min = min(p["n"] for p in points)
     x_max = max(p["n"] for p in points)

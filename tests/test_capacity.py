@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,16 @@ def test_experiment_bad_family_becomes_error_row():
     rows = run_experiment(config)
     assert rows[0]["mode"] == "error"
     assert rows[1]["count"] == 3
+
+
+def test_experiment_lets_bugs_propagate(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug")
+
+    # the package's `capacity` attribute is memory.capacity, not the module
+    monkeypatch.setattr(importlib.import_module("kuramem.capacity"), "build_topology", broken)
+    with pytest.raises(RuntimeError):
+        run_experiment({"families": [{"topology": "honeycomb", "nc": 5, "m_values": [1]}]})
 
 
 def test_experiment_deterministic_modulo_walltime():

@@ -179,6 +179,42 @@ def test_simulate_from_stored_state_stays_put(tmp_path, g9):
     assert "converged: true" in res.stderr
 
 
+@pytest.mark.parametrize("flags", [["--stride", "0"], ["--stride", "-1"],
+                                   ["--tmax", "inf"], ["--tmax", "nan"],
+                                   ["--seed", "-1"]])
+def test_simulate_rejects_bad_flags(tmp_path, g9, flags):
+    res = run_cli(["simulate", "--graph", "g9.json", *flags], tmp_path)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("args,content", [
+    (["simulate", "--graph", "g9.json", "--init"], b"not json"),
+    (["simulate", "--graph", "g9.json", "--init"], b'{"theta": ["a", 1]}'),
+    (["simulate", "--graph"], b"\xff{}"),
+    (["experiment", "--config"], b"not json"),
+    (["experiment", "--config"],
+     b'{"families": [{"topology": "honeycomb", "nc": "x", "m_values": [1]}]}'),
+    (["experiment", "--config"],
+     b'{"families": [{"topology": "hex", "sizes": [[1, "a"]]}]}'),
+    (["plot", "--results"], b"a,b\n1,2\n"),
+])
+def test_malformed_input_file_exits_2(tmp_path, g9, args, content):
+    (tmp_path / "input").write_bytes(content)
+    res = run_cli([*args, "input"], tmp_path)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+
+
+def test_plot_skips_rows_it_cannot_place():
+    from kuramem.plotting import write_capacity_svg
+
+    good = {"topology": "hex", "param1": "1", "n_nodes": "6", "count": "3", "mode": "exact"}
+    bad = [dict(good, ci_low="abc"), dict(good, count="nan"), dict(good, count="inf")]
+    assert write_capacity_svg([good, *bad]) == write_capacity_svg([good])
+
+
 def test_audit_reports_no_unmatched(tmp_path, g9):
     res = run_cli(["audit", "--graph", "g9.json", "--trials", "50",
                    "--seed", "7"], tmp_path)

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kuramem import (NotAnEquilibriumError, build_honeycomb, build_hex_array,
-                     build_square_array, canonical_distance, canonicalize,
-                     classify_stability, construct_config, energy, integrate,
-                     jacobian, rhs, wrap_angle)
+from kuramem import (NotAnEquilibriumError, ParameterDomainError, build_honeycomb,
+                     build_hex_array, build_square_array, canonical_distance,
+                     canonicalize, classify_stability, construct_config, energy,
+                     integrate, jacobian, rhs, wrap_angle)
 from kuramem.dynamics import integrate_batch
 from test_graphs import ALL_BUILDERS, oriented_incidence
 
@@ -268,9 +268,13 @@ def test_batch_integration_matches_single():
     g = build_honeycomb(5, 2)
     rng = np.random.default_rng(29)
     starts = rng.uniform(-np.pi, np.pi, (8, g.n))
-    finals, converged, _ = integrate_batch(starts, g)
-    assert converged.all()
-    for i in range(8):
-        single = integrate(starts[i], g)
-        assert single.converged
-        assert canonical_distance(finals[i], single.theta) < 1e-8
+    for omega in (None, rng.normal(0.0, 0.1, g.n)):
+        finals, converged, t_elapsed, trajectory = integrate_batch(starts, g, omega)
+        assert converged.all() and trajectory is None
+        for i in range(8):
+            single = integrate(starts[i], g, omega)
+            assert single.converged
+            np.testing.assert_array_equal(finals[i], single.theta)
+            assert t_elapsed[i] == single.t_elapsed
+    with pytest.raises(ParameterDomainError):
+        integrate_batch(starts, g, record_stride=1)    # trajectories are for one row
