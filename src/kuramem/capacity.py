@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DEFAULT_CONV_TOL
-from .equilibria import (ENUMERATION_BUDGET, enumerate_exact, winding_box,
-                         winding_box_size, winding_constrained_solve)
+from .equilibria import (enumerate_exact, winding_box, winding_box_size,
+                         winding_constrained_solve)
 from .errors import KuramemError, ParameterDomainError
 from .graphs import (Graph, build_hex_array, build_honeycomb,
                      build_honeycomb_chain, build_square_array, build_tri_array)
@@ -68,17 +67,15 @@ def wilson_interval(hits: int, samples: int, z: float = Z_95) -> tuple[float, fl
     return lo, hi
 
 
-def count_exact(g: Graph, conv_tol: float = DEFAULT_CONV_TOL,
-                budget: int = ENUMERATION_BUDGET, jobs: int = 1) -> CapacityEstimate:
+def count_exact(g: Graph, jobs: int = 1) -> CapacityEstimate:
     """Exact configuration count by exhaustive winding enumeration."""
-    eqs = enumerate_exact(g, conv_tol=conv_tol, budget=budget, jobs=jobs)
+    eqs = enumerate_exact(g, jobs=jobs)
     count = len(eqs)
     return CapacityEstimate(box_size=winding_box_size(g), exact=count,
                             ci_low=float(count), ci_high=float(count))
 
 
-def sample_estimate(g: Graph, samples: int, seed: int = 0,
-                    conv_tol: float = DEFAULT_CONV_TOL) -> CapacityEstimate:
+def sample_estimate(g: Graph, samples: int, seed: int = 0) -> CapacityEstimate:
     """Estimate the count by sampling winding vectors with replacement.
 
     The solver is deterministic per winding vector, so repeated draws are
@@ -99,7 +96,7 @@ def sample_estimate(g: Graph, samples: int, seed: int = 0,
     for row in draws:
         w = tuple(int(k) for k in row)
         if w not in cache:
-            cache[w] = winding_constrained_solve(g, w, conv_tol=conv_tol) is not None
+            cache[w] = winding_constrained_solve(g, w) is not None
         hits += cache[w]
     lo, hi = wilson_interval(hits, samples)
     return CapacityEstimate(box_size=box_size,
@@ -108,7 +105,7 @@ def sample_estimate(g: Graph, samples: int, seed: int = 0,
                             samples=samples, hits=hits, seed=seed)
 
 
-_BUILDERS = {
+BUILDERS = {
     "honeycomb": build_honeycomb,
     "honeycomb_chain": build_honeycomb_chain,
     "hex": build_hex_array,
@@ -124,10 +121,10 @@ def build_topology(kind: str, p1: int, p2: int, coupling: float = 1.0) -> Graph:
     """Dispatch a builder by name; (p1, p2) is (nc, m) for honeycombs and
     (rows, cols) for arrays. Array kinds accept both short and _array names."""
     try:
-        builder = _BUILDERS[kind]
+        builder = BUILDERS[kind]
     except KeyError:
         raise ParameterDomainError(
-            f"unknown topology {kind!r}, expected one of {sorted(_BUILDERS)}")
+            f"unknown topology {kind!r}, expected one of {sorted(BUILDERS)}")
     return builder(p1, p2, coupling)
 
 
@@ -137,7 +134,7 @@ RESULT_FIELDS = ("topology", "param1", "param2", "n_nodes", "mode", "count",
 
 def _family_rows(family: dict) -> list[tuple[str, int, int]]:
     kind = family["topology"]
-    if kind not in _BUILDERS:
+    if kind not in BUILDERS:
         raise ParameterDomainError(f"unknown topology {kind!r}")
     if "m_values" in family:
         nc = int(family["nc"])

@@ -17,10 +17,11 @@ import time
 import numpy as np
 
 from . import jsonutil
-from .capacity import (build_topology, count_exact, results_to_csv,
+from .capacity import (BUILDERS, build_topology, count_exact, results_to_csv,
                        run_experiment, sample_estimate)
 from .dynamics import DEFAULT_CONV_TOL, DEFAULT_DT, DEFAULT_T_MAX, integrate
-from .equilibria import audit_spurious, enumerate_exact, equilibria_to_json
+from .equilibria import (ENUMERATION_BUDGET, audit_spurious, enumerate_exact,
+                         equilibria_to_json)
 from .errors import (EnumerationBudgetError, IntegrationBlowUpError,
                      ParameterDomainError, RetrievalError)
 from .graphs import Graph, graph_from_json, graph_to_json
@@ -82,14 +83,23 @@ def _build_from_args(args) -> Graph:
 
 
 def _add_topology_flags(p: argparse.ArgumentParser, required: bool = False) -> None:
-    p.add_argument("--topology", required=required,
-                   choices=["honeycomb", "honeycomb_chain", "hex", "hex_array",
-                            "square", "square_array", "tri", "tri_array"])
+    p.add_argument("--topology", required=required, choices=list(BUILDERS))
     p.add_argument("--nc", type=int, help="cycle size for honeycomb topologies")
     p.add_argument("--m", type=int, help="cycle count for honeycomb topologies")
     p.add_argument("--rows", type=int, help="cell rows for array topologies")
     p.add_argument("--cols", type=int, help="cell columns for array topologies")
     p.add_argument("--coupling", type=float, default=1.0)
+
+
+def _add_noise(theta0: np.ndarray, args) -> np.ndarray:
+    """theta0 plus uniform noise in [-noise, noise], drawn from --seed."""
+    if not 0 <= 2 * args.noise < np.inf:
+        raise ParameterDomainError(
+            f"--noise must be >= 0 with 2*noise finite, got {args.noise}")
+    if args.noise == 0:
+        return theta0
+    rng = np.random.default_rng(_resolve_seed(args.seed))
+    return theta0 + rng.uniform(-args.noise, args.noise, len(theta0))
 
 
 def _codec_for_graph(args, g: Graph) -> PatternCodec:
@@ -172,9 +182,7 @@ def cmd_retrieve(args) -> int:
     if len(theta0) != g.n:
         raise ParameterDomainError(
             f"codec implies {len(theta0)} oscillators, graph has {g.n}")
-    if args.noise > 0:
-        rng = np.random.default_rng(_resolve_seed(args.seed))
-        theta0 = theta0 + rng.uniform(-args.noise, args.noise, g.n)
+    theta0 = _add_noise(theta0, args)
     bits, diag = retrieve(theta0, codec, g, dt=args.dt, t_max=args.tmax)
     lines = [bits,
              f"t_converged: {diag.t_converged:.6g}",
@@ -201,9 +209,7 @@ def cmd_simulate(args) -> int:
         if len(theta0) != g.n:
             raise ParameterDomainError(
                 f"initial state has {len(theta0)} entries, graph has {g.n}")
-    if args.noise > 0:
-        rng = np.random.default_rng(_resolve_seed(args.seed))
-        theta0 = theta0 + rng.uniform(-args.noise, args.noise, g.n)
+    theta0 = _add_noise(theta0, args)
     result = integrate(theta0, g, dt=args.dt, t_max=args.tmax,
                        conv_tol=args.conv_tol, record_stride=args.stride)
     header = "t," + ",".join(f"theta_{i}" for i in range(1, g.n + 1))
@@ -260,7 +266,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="all stable cohesive equilibria of a graph")
     p.add_argument("--graph", required=True)
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=ENUMERATION_BUDGET)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_enumerate)
@@ -314,7 +320,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=ENUMERATION_BUDGET)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_audit)
@@ -337,6 +343,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ParameterDomainError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
     except EnumerationBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

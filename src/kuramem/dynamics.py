@@ -134,7 +134,6 @@ class StabilityVerdict:
 
 
 def classify_stability(theta: np.ndarray, g: Graph,
-                       zero_tol: float = DEFAULT_ZERO_TOL,
                        residual_tol: float = 1e-6) -> StabilityVerdict:
     """Classify an (approximate) equilibrium by the Jacobian spectrum.
 
@@ -148,15 +147,15 @@ def classify_stability(theta: np.ndarray, g: Graph,
         raise NotAnEquilibriumError(
             f"|rhs|_inf = {residual:.3e} exceeds tolerance {residual_tol:.3e}")
     ev = np.sort(np.linalg.eigvalsh(jacobian(theta, g)))
-    in_band = int(np.sum(np.abs(ev) <= zero_tol))
-    if np.any(ev > zero_tol):
+    in_band = int(np.sum(np.abs(ev) <= DEFAULT_ZERO_TOL))
+    if np.any(ev > DEFAULT_ZERO_TOL):
         kind = "unstable"
     elif in_band == 1:
         kind = "stable"
     else:
         kind = "marginal"
     return StabilityVerdict(kind=kind, eigenvalues=tuple(float(x) for x in ev),
-                            zero_tol=zero_tol)
+                            zero_tol=DEFAULT_ZERO_TOL)
 
 
 @dataclass
@@ -192,8 +191,9 @@ def integrate_batch(thetas: np.ndarray, g: Graph, omega: np.ndarray | None = Non
     the final one) as (t, theta) pairs. Returns (final canonical states,
     converged flags, elapsed times, trajectory or None).
     """
-    if not (0 < dt < np.inf and 0 < t_max < np.inf):
-        raise ParameterDomainError(f"dt, t_max must be finite and > 0, got {dt}, {t_max}")
+    if not (0 < dt < np.inf and 0 < t_max < np.inf and t_max / dt < np.inf):
+        raise ParameterDomainError(
+            f"dt, t_max and t_max/dt must be finite and > 0, got {dt}, {t_max}")
     th = _check_length(np.atleast_2d(thetas), g).copy()
     m = th.shape[0]
     if record_stride is not None and record_stride < 1:

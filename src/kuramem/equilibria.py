@@ -13,14 +13,14 @@ import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import jsonutil
-from .dynamics import (DEFAULT_CONV_TOL, DEFAULT_DT, DEFAULT_T_MAX, DEFAULT_ZERO_TOL,
-                       StabilityVerdict, canonical_distance, canonicalize,
-                       classify_stability, energy, integrate, integrate_batch,
-                       rhs, wrap_angle)
+from .dynamics import (DEFAULT_CONV_TOL, StabilityVerdict, canonical_distance,
+                       canonicalize, classify_stability, energy, integrate,
+                       integrate_batch, rhs, wrap_angle)
 from .errors import NonIntegerWindingError, ParameterDomainError, EnumerationBudgetError
 from .graphs import Graph, cycle_edge_signs, graph_payload
 
@@ -71,13 +71,12 @@ def winding_box_size(g: Graph) -> int:
     return size
 
 
-def is_phase_cohesive(theta: np.ndarray, g: Graph,
-                      margin: float = COHESIVE_MARGIN) -> bool:
+def is_phase_cohesive(theta: np.ndarray, g: Graph) -> bool:
     """True when every edge's wrapped phase difference is strictly inside
     (-pi/2, pi/2)."""
     theta = np.asarray(theta, dtype=float)
     d = wrap_angle(theta[g.edge_tails] - theta[g.edge_heads])
-    return bool(np.max(np.abs(d)) < np.pi / 2 - margin)
+    return bool(np.max(np.abs(d)) < np.pi / 2 - COHESIVE_MARGIN)
 
 
 def winding_vector(theta: np.ndarray, g: Graph) -> np.ndarray:
@@ -163,13 +162,13 @@ def _spread_initial(g: Graph, winding) -> np.ndarray:
     return theta
 
 
-def _descend(theta: np.ndarray, g: Graph, conv_tol: float) -> tuple[np.ndarray, bool]:
+def _descend(theta: np.ndarray, g: Graph) -> tuple[np.ndarray, bool]:
     """Drive theta to a critical point of the coupling energy.
 
     Backtracking gradient descent (the velocity field is minus the energy
     gradient). The Armijo test carries a machine-noise floor, otherwise
     the line search dead-locks once true energy decrease falls below
-    float resolution, well before |rhs| reaches conv_tol. If descent
+    float resolution, well before |rhs| reaches DEFAULT_CONV_TOL. If descent
     stalls anyway, a fixed-step RK4 run finishes the job.
     """
     th = np.asarray(theta, dtype=float).copy()
@@ -177,7 +176,7 @@ def _descend(theta: np.ndarray, g: Graph, conv_tol: float) -> tuple[np.ndarray, 
     noise = 64.0 * np.finfo(float).eps * (abs(f) + 1.0)
     for _ in range(DESCENT_MAX_ITERS):
         r = rhs(th, g)
-        if float(np.max(np.abs(r))) < conv_tol:
+        if float(np.max(np.abs(r))) < DEFAULT_CONV_TOL:
             return th, True
         gn2 = float(r @ r)
         t = DESCENT_STEP0
@@ -191,9 +190,9 @@ def _descend(theta: np.ndarray, g: Graph, conv_tol: float) -> tuple[np.ndarray, 
             t *= DESCENT_SHRINK
         if not moved:
             break
-    if float(np.max(np.abs(rhs(th, g)))) < conv_tol:
+    if float(np.max(np.abs(rhs(th, g)))) < DEFAULT_CONV_TOL:
         return th, True
-    result = integrate(th, g, conv_tol=conv_tol)
+    result = integrate(th, g)
     return result.theta, result.converged
 
 
@@ -203,10 +202,7 @@ def _perturbation_rng(winding, attempt: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def winding_constrained_solve(g: Graph, winding,
-                              conv_tol: float = DEFAULT_CONV_TOL,
-                              zero_tol: float = DEFAULT_ZERO_TOL,
-                              retries: int = SOLVER_RETRIES) -> Equilibrium | None:
+def winding_constrained_solve(g: Graph, winding) -> Equilibrium | None:
     """Find the stable cohesive equilibrium carrying a winding vector,
     or None when the graph exhibits no such state.
 
@@ -226,13 +222,13 @@ def winding_constrained_solve(g: Graph, winding,
             return None
 
     base = _spread_initial(g, winding)
-    for attempt in range(retries + 1):
+    for attempt in range(SOLVER_RETRIES + 1):
         if attempt == 0:
             start = base
         else:
             rng = _perturbation_rng(winding, attempt)
             start = base + rng.uniform(-PERTURB_AMPLITUDE, PERTURB_AMPLITUDE, g.n)
-        theta, ok = _descend(start, g, conv_tol)
+        theta, ok = _descend(start, g)
         if not ok:
             continue
         theta = canonicalize(theta)
@@ -240,8 +236,7 @@ def winding_constrained_solve(g: Graph, winding,
             continue
         if tuple(winding_vector(theta, g)) != winding:
             continue
-        verdict = classify_stability(theta, g, zero_tol=zero_tol,
-                                     residual_tol=10 * conv_tol)
+        verdict = classify_stability(theta, g, residual_tol=10 * DEFAULT_CONV_TOL)
         if not verdict.is_stable:
             continue
         residual = float(np.max(np.abs(rhs(theta, g))))
@@ -250,23 +245,24 @@ def winding_constrained_solve(g: Graph, winding,
     return None
 
 
-def _solve_task(args) -> tuple[tuple[int, ...], Equilibrium | None]:
-    g, winding, conv_tol, zero_tol, retries = args
-    return winding, winding_constrained_solve(g, winding, conv_tol=conv_tol,
-                                              zero_tol=zero_tol, retries=retries)
+def _map(fn, items: list, jobs: int) -> list:
+    """[fn(x) for x in items], spread over `jobs` worker processes when
+    jobs > 1. Results come back in input order either way."""
+    if jobs <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
 
 
-def enumerate_exact(g: Graph, conv_tol: float = DEFAULT_CONV_TOL,
-                    zero_tol: float = DEFAULT_ZERO_TOL,
-                    retries: int = SOLVER_RETRIES,
-                    budget: int = ENUMERATION_BUDGET,
+def enumerate_exact(g: Graph, budget: int = ENUMERATION_BUDGET,
                     jobs: int = 1) -> list[Equilibrium]:
     """All stable phase-cohesive equilibria, by checking every admissible
     winding vector.
 
     Distinct cohesive equilibria carry distinct winding vectors, so the
-    hits are deduplicated (and ordered) by winding. Boxes larger than the
-    budget raise EnumerationBudgetError; use the sampling estimator then.
+    hits come out one per vector, in lexicographic winding order. Boxes
+    larger than the budget raise EnumerationBudgetError; use the sampling
+    estimator then.
     """
     size = winding_box_size(g)
     if size > budget:
@@ -274,18 +270,8 @@ def enumerate_exact(g: Graph, conv_tol: float = DEFAULT_CONV_TOL,
             f"winding box has {size} vectors, budget is {budget}; "
             "use sample_estimate instead")
     vectors = list(itertools.product(*winding_box(g)))
-    tasks = [(g, w, conv_tol, zero_tol, retries) for w in vectors]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, len(tasks) // (4 * jobs))
-            results = list(pool.map(_solve_task, tasks, chunksize=chunk))
-    else:
-        results = [_solve_task(t) for t in tasks]
-    found: dict[tuple[int, ...], Equilibrium] = {}
-    for w, eq in results:
-        if eq is not None and w not in found:
-            found[w] = eq
-    return [found[w] for w in sorted(found)]
+    hits = _map(partial(winding_constrained_solve, g), vectors, jobs)
+    return [eq for eq in hits if eq is not None]
 
 
 @dataclass
@@ -319,26 +305,16 @@ class AuditReport:
         return lines
 
 
-def _audit_chunk(args):
-    """integrate_batch results over blocks of at most AUDIT_CHUNK_ROWS rows.
-    Rows evolve independently, and a step costs less per row at that size
-    than in one large batch."""
-    states, g, dt, t_max, conv_tol = args
-    return [integrate_batch(b, g, dt=dt, t_max=t_max, conv_tol=conv_tol)
-            for b in np.array_split(states, -(-len(states) // AUDIT_CHUNK_ROWS))]
-
-
 def audit_spurious(g: Graph, known: list[Equilibrium], trials: int,
-                   seed: int = 0, dt: float = DEFAULT_DT, t_max: float = DEFAULT_T_MAX,
-                   conv_tol: float = DEFAULT_CONV_TOL,
-                   match_tol: float = MATCH_TOL,
-                   jobs: int = 1) -> AuditReport:
+                   seed: int = 0, jobs: int = 1) -> AuditReport:
     """Random-restart the dynamics and match every limit against `known`.
 
     Initial states are drawn once, up front, from the seeded generator,
-    so results are identical however the integration work is split.
+    so results are identical however the integration work is split: into
+    blocks of at most AUDIT_CHUNK_ROWS rows (a step costs less per row at
+    that size than in one large batch), and at least one block per job.
     Converged limits match a known equilibrium when the winding vectors
-    agree and the canonical distance is below match_tol; a stable limit
+    agree and the canonical distance is below MATCH_TOL; a stable limit
     matching nothing is a spurious-memory finding.
     """
     if trials < 0:
@@ -349,15 +325,10 @@ def audit_spurious(g: Graph, known: list[Equilibrium], trials: int,
     rng = np.random.default_rng(seed)
     states = rng.uniform(-np.pi, np.pi, size=(trials, g.n))
 
-    parts = jobs if jobs > 1 and trials >= 2 * jobs else 1
-    tasks = [(c, g, dt, t_max, conv_tol) for c in np.array_split(states, parts)]
-    if len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            blocks = [b for part in pool.map(_audit_chunk, tasks) for b in part]
-    else:
-        blocks = _audit_chunk(tasks[0])
-    finals = np.vstack([b[0] for b in blocks])
-    converged = np.concatenate([b[1] for b in blocks])
+    blocks = np.array_split(states, max(-(-trials // AUDIT_CHUNK_ROWS), min(jobs, trials)))
+    results = _map(partial(integrate_batch, g=g), blocks, jobs)
+    finals = np.vstack([r[0] for r in results])
+    converged = np.concatenate([r[1] for r in results])
 
     by_winding = {eq.winding: eq for eq in known}
     for i in range(trials):
@@ -367,10 +338,10 @@ def audit_spurious(g: Graph, known: list[Equilibrium], trials: int,
         theta = finals[i]
         w = tuple(int(k) for k in winding_vector(theta, g))
         eq = by_winding.get(w)
-        if eq is not None and canonical_distance(theta, eq.theta) < match_tol:
+        if eq is not None and canonical_distance(theta, eq.theta) < MATCH_TOL:
             report.match_counts[w] = report.match_counts.get(w, 0) + 1
             continue
-        verdict = classify_stability(theta, g, residual_tol=10 * conv_tol)
+        verdict = classify_stability(theta, g, residual_tol=10 * DEFAULT_CONV_TOL)
         if verdict.is_stable:
             report.unmatched_stable.append(Equilibrium(
                 theta=theta, winding=w, verdict=verdict,

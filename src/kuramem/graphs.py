@@ -59,8 +59,8 @@ def _validated_graph(n: int, edges: list[Edge], cycles: list[Cycle],
     """Normalize, check structural invariants, and freeze a Graph."""
     if n < 1:
         raise ParameterDomainError(f"node count must be >= 1, got {n}")
-    if coupling <= 0:
-        raise ParameterDomainError(f"coupling must be positive, got {coupling}")
+    if not 0 < coupling < np.inf:
+        raise ParameterDomainError(f"coupling must be finite and positive, got {coupling}")
     norm = []
     for (a, b) in edges:
         if not (1 <= a <= n and 1 <= b <= n):

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import DEFAULT_CONV_TOL, DEFAULT_DT, DEFAULT_T_MAX, integrate, rhs
+from .dynamics import DEFAULT_DT, DEFAULT_T_MAX, integrate, rhs
 from .equilibria import construct_config, is_phase_cohesive, max_winding, winding_vector
 from .errors import ParameterDomainError, RetrievalError
 from .graphs import Graph
@@ -112,15 +112,15 @@ class RetrievalDiagnostics:
 
 
 def retrieve(theta0: np.ndarray, codec: PatternCodec, g: Graph,
-             dt: float = DEFAULT_DT, t_max: float = DEFAULT_T_MAX,
-             conv_tol: float = DEFAULT_CONV_TOL) -> tuple[str, RetrievalDiagnostics]:
+             dt: float = DEFAULT_DT, t_max: float = DEFAULT_T_MAX
+             ) -> tuple[str, RetrievalDiagnostics]:
     """Relax theta0 to a phase lock and decode the pattern it landed on.
 
     Raises RetrievalError when the dynamics fail to lock within t_max or
     the limit's winding vector falls outside the admissible range (which
     cannot happen on honeycomb topologies, but can on arbitrary inputs).
     """
-    result = integrate(theta0, g, dt=dt, t_max=t_max, conv_tol=conv_tol)
+    result = integrate(theta0, g, dt=dt, t_max=t_max)
     if not result.converged:
         raise RetrievalError(f"no phase lock within t_max = {t_max}")
     theta = result.theta

@@ -179,11 +179,20 @@ def test_simulate_from_stored_state_stays_put(tmp_path, g9):
     assert "converged: true" in res.stderr
 
 
-@pytest.mark.parametrize("flags", [["--stride", "0"], ["--stride", "-1"],
-                                   ["--tmax", "inf"], ["--tmax", "nan"],
-                                   ["--seed", "-1"]])
+SIMULATE = ["simulate", "--graph", "g9.json"]
+RETRIEVE = ["retrieve", "--graph", "g9.json", "--pattern", "0110"]
+
+
+@pytest.mark.parametrize("flags", [
+    [*SIMULATE, "--stride", "0"], [*SIMULATE, "--stride", "-1"],
+    [*SIMULATE, "--tmax", "inf"], [*SIMULATE, "--tmax", "nan"],
+    [*SIMULATE, "--seed", "-1"], [*SIMULATE, "--dt", "1e-300", "--tmax", "1e10"],
+    *[[*cmd, "--noise", v] for cmd in (SIMULATE, RETRIEVE) for v in ("inf", "nan", "-0.1")],
+    [*SIMULATE, "--noise", "1e308"],
+    ["enumerate", "--graph", "g9.json", "--jobs", "0"],
+])
 def test_simulate_rejects_bad_flags(tmp_path, g9, flags):
-    res = run_cli(["simulate", "--graph", "g9.json", *flags], tmp_path)
+    res = run_cli(flags, tmp_path)
     assert res.returncode == 2
     assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
     assert res.stdout == ""

@@ -222,6 +222,8 @@ def test_integrate_rejects_bad_steps():
         integrate(np.zeros(g.n), g, dt=0.0)
     with pytest.raises(ValueError):
         integrate(np.zeros(g.n), g, t_max=-1.0)
+    with pytest.raises(ValueError):    # finite dt and t_max, but the step count overflows
+        integrate(np.zeros(g.n), g, dt=1e-300, t_max=1e10)
 
 
 def test_integrate_reports_non_convergence():

@@ -137,6 +137,18 @@ def test_solve_matches_analytic_construction():
     assert canonical_distance(eq.theta, construct_config([-1, 1], 5, 2)) < 1e-7
 
 
+def test_solve_needs_the_perturbed_retries(monkeypatch):
+    # real equilibria that descent from the winding-spread start misses;
+    # a perturbed retry finds them
+    g = build_hex_array(3, 1)
+    windings = [(1, 1, 1), (-1, -1, -1)]
+    for w in windings:
+        eq = winding_constrained_solve(g, w)
+        assert eq is not None and eq.winding == w and eq.verdict.is_stable
+    monkeypatch.setattr(equilibria, "SOLVER_RETRIES", 0)
+    assert [winding_constrained_solve(g, w) for w in windings] == [None, None]
+
+
 def test_enumerate_pentagon():
     g = build_honeycomb(5, 1)
     eqs = enumerate_exact(g)

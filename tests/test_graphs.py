@@ -188,7 +188,16 @@ def test_json_round_trip():
     '{"n": 3, "coupling_c": 1.0, "edges": [[1, 2], [2, 3], [1, 3]], "cycle_basis": []}',
     '{"n": 3, "coupling_c": 1.0, "edges": [[1, 2], [2, 3], [1, 3]], "cycle_basis": [[1, 2, 4]]}',
     '{"n": 3, "coupling_c": -1.0, "edges": [[1, 2], [2, 3], [1, 3]], "cycle_basis": [[1, 2, 3]]}',
+    '{"n": 3, "coupling_c": NaN, "edges": [[1, 2], [2, 3], [1, 3]], "cycle_basis": [[1, 2, 3]]}',
+    '{"n": 3, "coupling_c": Infinity, "edges": [[1, 2], [2, 3], [1, 3]], "cycle_basis": [[1, 2, 3]]}',
 ])
 def test_json_rejects_malformed_input(text):
     with pytest.raises(ParameterDomainError):
         graph_from_json(text)
+
+
+@pytest.mark.parametrize("coupling", [np.nan, np.inf])
+def test_builders_reject_non_finite_coupling(coupling):
+    for builder, params in ALL_BUILDERS:
+        with pytest.raises(ParameterDomainError):
+            builder(*params, coupling)
