@@ -9,7 +9,7 @@ from .capacity import (CapacityEstimate, build_topology, count_exact,
                        run_experiment, sample_estimate, wilson_interval)
 from .dynamics import (IntegrationResult, StabilityVerdict, canonical_distance,
                        canonicalize, classify_stability, energy, integrate,
-                       jacobian, rhs, wrap_angle)
+                       jacobian, lock_dt, rhs, wrap_angle)
 from .equilibria import (AuditReport, Equilibrium, audit_spurious,
                          construct_config, enumerate_exact, is_phase_cohesive,
                          max_winding, winding_box, winding_box_size,
@@ -37,7 +37,7 @@ __all__ = [
     "classify_stability", "construct_config", "count_exact",
     "cycle_edge_signs", "decode", "degrees", "encode", "energy",
     "enumerate_exact", "graph_from_json", "graph_to_json", "integrate",
-    "is_phase_cohesive", "jacobian", "max_winding", "num_patterns",
+    "is_phase_cohesive", "jacobian", "lock_dt", "max_winding", "num_patterns",
     "retrieve", "rhs", "run_experiment", "sample_estimate", "store",
     "wilson_interval", "winding_box", "winding_box_size",
     "winding_constrained_solve", "winding_vector", "wrap_angle",

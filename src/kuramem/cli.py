@@ -298,7 +298,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--nc", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--dt", type=float, default=DEFAULT_DT)
+    p.add_argument("--dt", type=float,
+                   help="RK4 step (default: lock_dt = 1/(4*coupling*max degree))")
     p.add_argument("--tmax", type=float, default=DEFAULT_T_MAX)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_retrieve)

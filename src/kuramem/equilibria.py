@@ -20,7 +20,7 @@ import numpy as np
 from . import jsonutil
 from .dynamics import (DEFAULT_CONV_TOL, StabilityVerdict, canonical_distance,
                        canonicalize, classify_stability, energy, integrate,
-                       integrate_batch, rhs, wrap_angle)
+                       integrate_batch, lock_dt, rhs, wrap_angle)
 from .errors import NonIntegerWindingError, ParameterDomainError, EnumerationBudgetError
 from .graphs import Graph, cycle_edge_signs, graph_payload
 
@@ -169,7 +169,7 @@ def _descend(theta: np.ndarray, g: Graph) -> tuple[np.ndarray, bool]:
     gradient). The Armijo test carries a machine-noise floor, otherwise
     the line search dead-locks once true energy decrease falls below
     float resolution, well before |rhs| reaches DEFAULT_CONV_TOL. If descent
-    stalls anyway, a fixed-step RK4 run finishes the job.
+    stalls anyway, an RK4 run at lock_dt(g) finishes the job.
     """
     th = np.asarray(theta, dtype=float).copy()
     f = energy(th, g)
@@ -192,7 +192,7 @@ def _descend(theta: np.ndarray, g: Graph) -> tuple[np.ndarray, bool]:
             break
     if float(np.max(np.abs(rhs(th, g)))) < DEFAULT_CONV_TOL:
         return th, True
-    result = integrate(th, g)
+    result = integrate(th, g, dt=lock_dt(g))
     return result.theta, result.converged
 
 
@@ -309,10 +309,11 @@ def audit_spurious(g: Graph, known: list[Equilibrium], trials: int,
                    seed: int = 0, jobs: int = 1) -> AuditReport:
     """Random-restart the dynamics and match every limit against `known`.
 
-    Initial states are drawn once, up front, from the seeded generator,
-    so results are identical however the integration work is split: into
-    blocks of at most AUDIT_CHUNK_ROWS rows (a step costs less per row at
-    that size than in one large batch), and at least one block per job.
+    Initial states are drawn once, up front, from the seeded generator
+    and relax at lock_dt(g). Results are identical however the
+    integration work is split: into blocks of at most AUDIT_CHUNK_ROWS
+    rows (a step costs less per row at that size than in one large
+    batch), and at least one block per job.
     Converged limits match a known equilibrium when the winding vectors
     agree and the canonical distance is below MATCH_TOL; a stable limit
     matching nothing is a spurious-memory finding.
@@ -326,7 +327,7 @@ def audit_spurious(g: Graph, known: list[Equilibrium], trials: int,
     states = rng.uniform(-np.pi, np.pi, size=(trials, g.n))
 
     blocks = np.array_split(states, max(-(-trials // AUDIT_CHUNK_ROWS), min(jobs, trials)))
-    results = _map(partial(integrate_batch, g=g), blocks, jobs)
+    results = _map(partial(integrate_batch, g=g, dt=lock_dt(g)), blocks, jobs)
     finals = np.vstack([r[0] for r in results])
     converged = np.concatenate([r[1] for r in results])
 

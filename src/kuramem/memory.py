@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import DEFAULT_DT, DEFAULT_T_MAX, integrate, rhs
+from .dynamics import DEFAULT_T_MAX, integrate, lock_dt, rhs
 from .equilibria import construct_config, is_phase_cohesive, max_winding, winding_vector
 from .errors import ParameterDomainError, RetrievalError
 from .graphs import Graph
@@ -112,15 +112,18 @@ class RetrievalDiagnostics:
 
 
 def retrieve(theta0: np.ndarray, codec: PatternCodec, g: Graph,
-             dt: float = DEFAULT_DT, t_max: float = DEFAULT_T_MAX
+             dt: float | None = None, t_max: float = DEFAULT_T_MAX
              ) -> tuple[str, RetrievalDiagnostics]:
     """Relax theta0 to a phase lock and decode the pattern it landed on.
+
+    dt defaults to lock_dt(g), a step that lands on the same lock as
+    DEFAULT_DT at a fraction of the cost.
 
     Raises RetrievalError when the dynamics fail to lock within t_max or
     the limit's winding vector falls outside the admissible range (which
     cannot happen on honeycomb topologies, but can on arbitrary inputs).
     """
-    result = integrate(theta0, g, dt=dt, t_max=t_max)
+    result = integrate(theta0, g, dt=lock_dt(g) if dt is None else dt, t_max=t_max)
     if not result.converged:
         raise RetrievalError(f"no phase lock within t_max = {t_max}")
     theta = result.theta

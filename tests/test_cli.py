@@ -19,8 +19,9 @@ def run_cli(args, cwd, env_extra=None):
         filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
+    # A runaway child fails its test instead of hanging the suite.
     return subprocess.run(CLI + args, cwd=cwd, env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=300)
 
 
 @pytest.fixture()
@@ -187,6 +188,7 @@ RETRIEVE = ["retrieve", "--graph", "g9.json", "--pattern", "0110"]
     [*SIMULATE, "--stride", "0"], [*SIMULATE, "--stride", "-1"],
     [*SIMULATE, "--tmax", "inf"], [*SIMULATE, "--tmax", "nan"],
     [*SIMULATE, "--seed", "-1"], [*SIMULATE, "--dt", "1e-300", "--tmax", "1e10"],
+    [*SIMULATE, "--dt", "1e-300", "--tmax", "1"], [*RETRIEVE, "--dt", "1e-300"],
     *[[*cmd, "--noise", v] for cmd in (SIMULATE, RETRIEVE) for v in ("inf", "nan", "-0.1")],
     [*SIMULATE, "--noise", "1e308"],
     ["enumerate", "--graph", "g9.json", "--jobs", "0"],

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from kuramem import (NotAnEquilibriumError, ParameterDomainError, build_honeycomb,
                      build_hex_array, build_square_array, canonical_distance,
                      canonicalize, classify_stability, construct_config, energy,
-                     integrate, jacobian, rhs, wrap_angle)
-from kuramem.dynamics import integrate_batch
+                     integrate, jacobian, lock_dt, rhs, wrap_angle)
+from kuramem.dynamics import MAX_RK4_STEPS, integrate_batch
 from test_graphs import ALL_BUILDERS, oriented_incidence
 
 FD_STEP = 1e-6
@@ -224,6 +224,26 @@ def test_integrate_rejects_bad_steps():
         integrate(np.zeros(g.n), g, t_max=-1.0)
     with pytest.raises(ValueError):    # finite dt and t_max, but the step count overflows
         integrate(np.zeros(g.n), g, dt=1e-300, t_max=1e10)
+    with pytest.raises(ValueError):    # finite step count, but far too many steps
+        integrate(np.zeros(g.n), g, dt=1e-300, t_max=1.0)
+    # exactly MAX_RK4_STEPS steps are allowed (synchrony locks at step 0),
+    # one ulp more time is not
+    dt = 2.0 ** -20
+    assert integrate(np.zeros(g.n), g, dt=dt, t_max=MAX_RK4_STEPS * dt).converged
+    with pytest.raises(ParameterDomainError):
+        integrate(np.zeros(g.n), g, dt=dt, t_max=np.nextafter(MAX_RK4_STEPS * dt, np.inf))
+
+
+@pytest.mark.parametrize("builder,params", ALL_BUILDERS)
+def test_lock_dt_respects_the_spectral_bound(builder, params):
+    g = builder(*params, coupling=1.5)
+    rng = np.random.default_rng(31)
+    states = [np.zeros(g.n)] + [rng.uniform(-np.pi, np.pi, g.n) for _ in range(5)]
+    # hex 1x1 is a 6-cycle: bipartite and regular, so synchrony attains the
+    # bound up to the eigensolver's round-off
+    for theta in states:
+        top = np.max(np.abs(np.linalg.eigvalsh(jacobian(theta, g))))
+        assert top * lock_dt(g) <= 0.5 + 1e-12
 
 
 def test_integrate_reports_non_convergence():

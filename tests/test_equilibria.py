@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from kuramem import (EnumerationBudgetError, ParameterDomainError,
                      winding_box, winding_box_size, winding_constrained_solve,
                      winding_vector, wrap_angle)
 from kuramem import equilibria
-from kuramem.dynamics import integrate_batch
+from kuramem.dynamics import DEFAULT_DT, integrate_batch, lock_dt
 from kuramem.equilibria import equilibria_to_json
 
 
@@ -247,6 +248,25 @@ def test_audit_chunked_matches_one_batch(monkeypatch):
     assert chunked.summary_lines() == whole.summary_lines()
     assert chunked.match_counts == whole.match_counts
     assert chunked.matched == 70
+
+
+@pytest.mark.parametrize("params,trials", [((5, 2), 200), ((9, 3), 64)])
+def test_audit_at_lock_dt_matches_the_trajectory_step(params, trials):
+    g = build_honeycomb(*params)
+    known = enumerate_exact(g)
+    # the starts audit_spurious draws for seed 3
+    states = np.random.default_rng(3).uniform(-np.pi, np.pi, size=(trials, g.n))
+
+    def windings(dt):
+        finals, converged, _, _ = integrate_batch(states, g, dt=dt)
+        assert converged.all()
+        return [tuple(int(k) for k in winding_vector(th, g)) for th in finals]
+
+    fine = windings(DEFAULT_DT)
+    assert windings(lock_dt(g)) == fine
+    report = audit_spurious(g, known, trials=trials, seed=3)
+    assert report.unmatched == report.non_converged == 0
+    assert report.match_counts == Counter(fine)
 
 
 def test_degree_two_balance_at_stable_equilibria():

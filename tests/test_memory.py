@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from kuramem import (ParameterDomainError, PatternCodec, RetrievalError,
                      build_honeycomb, capacity, construct_config, decode,
                      encode, num_patterns, retrieve, store, wrap_angle)
+from kuramem.dynamics import DEFAULT_DT
 
 # frozen reference mapping for two pentagonal rings:
 # (winding pair, index, bits); phase step within ring p is 2*pi*k_p/5
@@ -135,6 +136,15 @@ def test_retrieve_with_noise_smoke(codec52):
         noisy = store(bits, codec52) + rng.uniform(-0.1, 0.1, g.n)
         recovered, _ = retrieve(noisy, codec52, g)
         assert recovered == bits
+
+
+@pytest.mark.parametrize("noise", [0.1, 0.5])
+def test_retrieve_at_lock_dt_matches_the_trajectory_step(codec52, noise):
+    g = build_honeycomb(5, 2)
+    rng = np.random.default_rng(37)
+    for _, _, bits in NINE_ROWS:
+        noisy = store(bits, codec52) + rng.uniform(-noise, noise, g.n)
+        assert retrieve(noisy, codec52, g)[0] == retrieve(noisy, codec52, g, dt=DEFAULT_DT)[0]
 
 
 def test_retrieve_from_random_state_returns_some_pattern(codec52):
