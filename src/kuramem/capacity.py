@@ -49,17 +49,17 @@ class CapacityEstimate:
         return float(self.exact if self.exact is not None else self.estimate)
 
 
-def wilson_interval(hits: int, samples: int, z: float = Z_95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(hits: int, samples: int) -> tuple[float, float]:
+    """Wilson score interval at Z_95 for a binomial proportion."""
     if samples < 1:
         raise ParameterDomainError(f"samples must be >= 1, got {samples}")
     if not 0 <= hits <= samples:
         raise ParameterDomainError(f"hits {hits} outside 0..{samples}")
     p = hits / samples
-    z2 = z * z
+    z2 = Z_95 * Z_95
     denom = 1.0 + z2 / samples
     center = (p + z2 / (2 * samples)) / denom
-    half = (z / denom) * np.sqrt(p * (1 - p) / samples + z2 / (4 * samples * samples))
+    half = (Z_95 / denom) * np.sqrt(p * (1 - p) / samples + z2 / (4 * samples * samples))
     # at the boundaries center == half holds exactly; don't let round-off
     # push the interval off the observed proportion
     lo = 0.0 if hits == 0 else max(0.0, center - half)

@@ -24,7 +24,7 @@ from .equilibria import (ENUMERATION_BUDGET, audit_spurious, enumerate_exact,
                          equilibria_to_json)
 from .errors import (EnumerationBudgetError, IntegrationBlowUpError,
                      ParameterDomainError, RetrievalError)
-from .graphs import Graph, graph_from_json, graph_to_json
+from .graphs import Graph, build_honeycomb, graph_from_json, graph_to_json
 from .memory import PatternCodec, decode, retrieve, store
 from .plotting import write_capacity_svg
 
@@ -103,20 +103,19 @@ def _add_noise(theta0: np.ndarray, args) -> np.ndarray:
 
 
 def _codec_for_graph(args, g: Graph) -> PatternCodec:
+    """The codec of --nc/--m, or of the graph's equal-size basis cycles.
+    g must be the honeycomb that `build --topology honeycomb` writes for
+    it (node count compared first, so no larger honeycomb gets built)."""
     if args.nc is not None and args.m is not None:
-        codec = PatternCodec(args.nc, args.m)
+        nc, m = args.nc, args.m
     else:
-        # infer from the graph: equal-size basis cycles, honeycomb node count
         sizes = {len(c) for c in g.cycle_basis}
         if len(sizes) != 1:
-            raise ParameterDomainError(
-                "cannot infer codec from graph; pass --nc and --m")
-        nc = sizes.pop()
-        m = len(g.cycle_basis)
-        if g.n != m * (nc - 1) + 1:
-            raise ParameterDomainError(
-                "graph is not a honeycomb chain; pass --nc and --m")
-        codec = PatternCodec(nc, m)
+            raise ParameterDomainError("cannot infer codec from graph; pass --nc and --m")
+        nc, m = sizes.pop(), len(g.cycle_basis)
+    codec = PatternCodec(nc, m)
+    if g.n != m * (nc - 1) + 1 or g != build_honeycomb(nc, m, g.coupling):
+        raise ParameterDomainError(f"graph is not the honeycomb with --nc {nc} --m {m}")
     return codec
 
 
@@ -163,9 +162,6 @@ def cmd_store(args) -> int:
     g = _load_graph(args.graph)
     codec = _codec_for_graph(args, g)
     theta = store(args.pattern, codec)
-    if len(theta) != g.n:
-        raise ParameterDomainError(
-            f"codec implies {len(theta)} oscillators, graph has {g.n}")
     payload = {
         "pattern": args.pattern,
         "winding": [int(k) for k in decode(args.pattern, codec)],
@@ -178,11 +174,7 @@ def cmd_store(args) -> int:
 def cmd_retrieve(args) -> int:
     g = _load_graph(args.graph)
     codec = _codec_for_graph(args, g)
-    theta0 = store(args.pattern, codec)
-    if len(theta0) != g.n:
-        raise ParameterDomainError(
-            f"codec implies {len(theta0)} oscillators, graph has {g.n}")
-    theta0 = _add_noise(theta0, args)
+    theta0 = _add_noise(store(args.pattern, codec), args)
     bits, diag = retrieve(theta0, codec, g, dt=args.dt, t_max=args.tmax)
     lines = [bits,
              f"t_converged: {diag.t_converged:.6g}",
@@ -209,6 +201,8 @@ def cmd_simulate(args) -> int:
         if len(theta0) != g.n:
             raise ParameterDomainError(
                 f"initial state has {len(theta0)} entries, graph has {g.n}")
+        if not np.all(np.isfinite(theta0)):
+            raise ParameterDomainError(f"non-finite entry in state {args.init}")
     theta0 = _add_noise(theta0, args)
     result = integrate(theta0, g, dt=args.dt, t_max=args.tmax,
                        conv_tol=args.conv_tol, record_stride=args.stride)

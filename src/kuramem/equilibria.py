@@ -18,9 +18,9 @@ from functools import partial
 import numpy as np
 
 from . import jsonutil
-from .dynamics import (DEFAULT_CONV_TOL, StabilityVerdict, canonical_distance,
-                       canonicalize, classify_stability, energy, integrate,
-                       integrate_batch, lock_dt, rhs, wrap_angle)
+from .dynamics import (DEFAULT_CONV_TOL, canonical_distance, canonicalize,
+                       classify_stability, energy, integrate_batch, lock_dt,
+                       rhs, wrap_angle)
 from .errors import NonIntegerWindingError, ParameterDomainError, EnumerationBudgetError
 from .graphs import Graph, cycle_edge_signs, graph_payload
 
@@ -47,7 +47,6 @@ class Equilibrium:
 
     theta: np.ndarray                 # canonical form
     winding: tuple[int, ...]
-    verdict: StabilityVerdict
     cohesive: bool
     residual: float
 
@@ -134,31 +133,15 @@ def _spread_initial(g: Graph, winding) -> np.ndarray:
 
     A minimum-norm edge-difference field gamma with the prescribed cycle
     sums 2*pi*w spreads each winding uniformly around its cycle; the
-    field is then integrated over a BFS spanning tree from node 1.
+    field is then integrated down the graph's BFS tree from node 1.
     """
     C = cycle_edge_signs(g)
     target = TWO_PI * np.asarray(winding, dtype=float)
     gamma, *_ = np.linalg.lstsq(C, target, rcond=None)
-
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, g.n + 1)}
-    for e, (a, b) in enumerate(g.edges):
-        adj[a].append((b, e))
-        adj[b].append((a, e))
     theta = np.zeros(g.n)
-    seen = {1}
-    queue = [1]
-    while queue:
-        u = queue.pop(0)
-        for v, e in adj[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            # gamma[e] models theta_low - theta_high for edge e
-            if u < v:
-                theta[v - 1] = theta[u - 1] - gamma[e]
-            else:
-                theta[v - 1] = theta[u - 1] + gamma[e]
-            queue.append(v)
+    for u, v, e in g.bfs_tree.tolist():
+        # gamma[e] models theta_low - theta_high for edge e
+        theta[v - 1] = theta[u - 1] - gamma[e] if u < v else theta[u - 1] + gamma[e]
     return theta
 
 
@@ -168,8 +151,8 @@ def _descend(theta: np.ndarray, g: Graph) -> tuple[np.ndarray, bool]:
     Backtracking gradient descent (the velocity field is minus the energy
     gradient). The Armijo test carries a machine-noise floor, otherwise
     the line search dead-locks once true energy decrease falls below
-    float resolution, well before |rhs| reaches DEFAULT_CONV_TOL. If descent
-    stalls anyway, an RK4 run at lock_dt(g) finishes the job.
+    float resolution, well before |rhs| reaches DEFAULT_CONV_TOL. Returns
+    the final state and whether |rhs| got below DEFAULT_CONV_TOL.
     """
     th = np.asarray(theta, dtype=float).copy()
     f = energy(th, g)
@@ -190,16 +173,15 @@ def _descend(theta: np.ndarray, g: Graph) -> tuple[np.ndarray, bool]:
             t *= DESCENT_SHRINK
         if not moved:
             break
-    if float(np.max(np.abs(rhs(th, g)))) < DEFAULT_CONV_TOL:
-        return th, True
-    result = integrate(th, g, dt=lock_dt(g))
-    return result.theta, result.converged
+    return th, float(np.max(np.abs(rhs(th, g)))) < DEFAULT_CONV_TOL
 
 
-def _perturbation_rng(winding, attempt: int) -> np.random.Generator:
-    # deterministic per (winding, attempt), independent of call order
+def _kick(winding, attempt: int, n: int) -> np.ndarray:
+    """Uniform perturbation of a retry's start, deterministic per
+    (winding, attempt) and independent of call order."""
     entropy = [attempt] + [int(k) + (1 << 20) for k in winding]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    return np.random.default_rng(np.random.SeedSequence(entropy)).uniform(
+        -PERTURB_AMPLITUDE, PERTURB_AMPLITUDE, n)
 
 
 def winding_constrained_solve(g: Graph, winding) -> Equilibrium | None:
@@ -207,10 +189,12 @@ def winding_constrained_solve(g: Graph, winding) -> Equilibrium | None:
     or None when the graph exhibits no such state.
 
     The winding-spread initial guess is descended to a critical point and
-    the result only counts when it is (a) converged, (b) phase-cohesive,
-    (c) spectrally stable and (d) still carries the requested winding.
-    Failed attempts restart from perturbed copies of the initial guess;
-    exhausting the retries means "not exhibited", not an error.
+    the result only counts when it is (a) converged, (b) phase-cohesive
+    and (c) still carries the requested winding. Cohesion makes it
+    stable: every cos(dtheta) > 0, so the Jacobian is a negative weighted
+    Laplacian (Dorfler & Bullo 2014). Failed attempts restart from
+    perturbed copies of the initial guess; exhausting the retries means
+    "not exhibited", not an error.
     """
     winding = tuple(int(k) for k in winding)
     if len(winding) != len(g.cycle_basis):
@@ -223,12 +207,7 @@ def winding_constrained_solve(g: Graph, winding) -> Equilibrium | None:
 
     base = _spread_initial(g, winding)
     for attempt in range(SOLVER_RETRIES + 1):
-        if attempt == 0:
-            start = base
-        else:
-            rng = _perturbation_rng(winding, attempt)
-            start = base + rng.uniform(-PERTURB_AMPLITUDE, PERTURB_AMPLITUDE, g.n)
-        theta, ok = _descend(start, g)
+        theta, ok = _descend(base + _kick(winding, attempt, g.n) if attempt else base, g)
         if not ok:
             continue
         theta = canonicalize(theta)
@@ -236,12 +215,8 @@ def winding_constrained_solve(g: Graph, winding) -> Equilibrium | None:
             continue
         if tuple(winding_vector(theta, g)) != winding:
             continue
-        verdict = classify_stability(theta, g, residual_tol=10 * DEFAULT_CONV_TOL)
-        if not verdict.is_stable:
-            continue
-        residual = float(np.max(np.abs(rhs(theta, g))))
-        return Equilibrium(theta=theta, winding=winding, verdict=verdict,
-                           cohesive=True, residual=residual)
+        return Equilibrium(theta=theta, winding=winding, cohesive=True,
+                           residual=float(np.max(np.abs(rhs(theta, g)))))
     return None
 
 
@@ -342,11 +317,9 @@ def audit_spurious(g: Graph, known: list[Equilibrium], trials: int,
         if eq is not None and canonical_distance(theta, eq.theta) < MATCH_TOL:
             report.match_counts[w] = report.match_counts.get(w, 0) + 1
             continue
-        verdict = classify_stability(theta, g, residual_tol=10 * DEFAULT_CONV_TOL)
-        if verdict.is_stable:
+        if classify_stability(theta, g, residual_tol=10 * DEFAULT_CONV_TOL).is_stable:
             report.unmatched_stable.append(Equilibrium(
-                theta=theta, winding=w, verdict=verdict,
-                cohesive=is_phase_cohesive(theta, g),
+                theta=theta, winding=w, cohesive=is_phase_cohesive(theta, g),
                 residual=float(np.max(np.abs(rhs(theta, g))))))
         else:
             report.unmatched_other += 1
@@ -354,14 +327,16 @@ def audit_spurious(g: Graph, known: list[Equilibrium], trials: int,
 
 
 def equilibria_to_json(g: Graph, eqs: list[Equilibrium]) -> str:
-    """Serialize an enumeration result (graph plus equilibria)."""
+    """Serialize an enumeration result (graph plus equilibria). The
+    largest nonzero Jacobian eigenvalue is computed here, per equilibrium."""
     payload = {
         "graph": graph_payload(g),
         "equilibria": [
             {
                 "winding": list(eq.winding),
                 "theta": [float(x) for x in eq.theta],
-                "eigen_max_nonzero": eq.verdict.max_nonzero_eigenvalue(),
+                "eigen_max_nonzero": classify_stability(
+                    eq.theta, g, residual_tol=10 * DEFAULT_CONV_TOL).max_nonzero_eigenvalue(),
                 "cohesive": eq.cohesive,
             }
             for eq in eqs

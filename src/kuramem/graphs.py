@@ -8,7 +8,6 @@ oriented from the smaller to the larger node id.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,8 +49,25 @@ class Graph:
         return np.array([b - 1 for _, b in self.edges], dtype=np.intp)
 
     @cached_property
-    def edge_index(self) -> dict[Edge, int]:
-        return {e: i for i, e in enumerate(self.edges)}
+    def bfs_tree(self) -> np.ndarray:
+        """Breadth-first spanning tree from node 1, neighbours in edge
+        order: one (parent, child, edge index) row per node reached after
+        node 1, node ids 1-based, in visit order. Fewer than n - 1 rows
+        means the graph is not connected."""
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n + 1)]
+        for e, (a, b) in enumerate(self.edges):
+            adj[a].append((b, e))
+            adj[b].append((a, e))
+        seen = [False] * (self.n + 1)
+        seen[1] = True
+        order, rows = [1], []
+        for u in order:   # order grows while it is walked: the BFS queue
+            for v, e in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    order.append(v)
+                    rows.append((u, v, e))
+        return np.array(rows, dtype=np.intp).reshape(-1, 3)
 
 
 def _validated_graph(n: int, edges: list[Edge], cycles: list[Cycle],
@@ -61,6 +77,8 @@ def _validated_graph(n: int, edges: list[Edge], cycles: list[Cycle],
         raise ParameterDomainError(f"node count must be >= 1, got {n}")
     if not 0 < coupling < np.inf:
         raise ParameterDomainError(f"coupling must be finite and positive, got {coupling}")
+    if len(edges) < n - 1:   # before any O(n) work: n nodes need n - 1 edges
+        raise ParameterDomainError("graph is not connected")
     norm = []
     for (a, b) in edges:
         if not (1 <= a <= n and 1 <= b <= n):
@@ -74,7 +92,9 @@ def _validated_graph(n: int, edges: list[Edge], cycles: list[Cycle],
             raise ParameterDomainError(f"duplicate edge {norm[i]}")
     edge_set = set(norm)
 
-    if not _is_connected(n, norm):
+    g = Graph(n=n, edges=tuple(norm), coupling=float(coupling),
+              cycle_basis=tuple(tuple(c) for c in cycles))
+    if len(g.bfs_tree) != n - 1:
         raise ParameterDomainError("graph is not connected")
 
     expected = len(norm) - n + 1
@@ -89,28 +109,7 @@ def _validated_graph(n: int, edges: list[Edge], cycles: list[Cycle],
             if (min(u, v), max(u, v)) not in edge_set:
                 raise ParameterDomainError(
                     f"cycle step ({u},{v}) is not an edge of the graph")
-
-    return Graph(n=n, edges=tuple(norm), coupling=float(coupling),
-                 cycle_basis=tuple(tuple(c) for c in cycles))
-
-
-def _is_connected(n: int, edges: list[Edge]) -> bool:
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = [False] * (n + 1)
-    seen[1] = True
-    queue = deque([1])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                queue.append(v)
-    return count == n
+    return g
 
 
 def _check_honeycomb_params(cycle_size: int, cycles: int) -> None:
@@ -256,14 +255,15 @@ def cycle_edge_signs(g: Graph) -> np.ndarray:
     the graph's cycle space: each is a circulation, with zero net flow
     at every node.
     """
+    index = {e: i for i, e in enumerate(g.edges)}
     C = np.zeros((len(g.cycle_basis), len(g.edges)))
     for s, cyc in enumerate(g.cycle_basis):
         for t in range(len(cyc)):
             u, v = cyc[t], cyc[(t + 1) % len(cyc)]
             if u < v:
-                C[s, g.edge_index[(u, v)]] += 1.0
+                C[s, index[(u, v)]] += 1.0
             else:
-                C[s, g.edge_index[(v, u)]] -= 1.0
+                C[s, index[(v, u)]] -= 1.0
     return C
 
 

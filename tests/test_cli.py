@@ -159,6 +159,22 @@ def test_store_writes_state(tmp_path, g9):
     assert payload["theta"][:5] == [0, 0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("command", ["store", "retrieve"])
+@pytest.mark.parametrize("topology,pattern", [
+    (["honeycomb_chain", "--nc", "5", "--m", "2"], "0001"),
+    (["hex", "--rows", "1", "--cols", "1"], "10"),
+])
+def test_store_and_retrieve_take_only_the_codec_honeycomb(tmp_path, command,
+                                                         topology, pattern):
+    # same node count and cycle sizes as a honeycomb, but other edges
+    build = run_cli(["build", "--topology", *topology, "-o", "g.json"], tmp_path)
+    assert build.returncode == 0, build.stderr
+    res = run_cli([command, "--graph", "g.json", "--pattern", pattern], tmp_path)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+    assert res.stdout == ""
+
+
 def test_simulate_trajectory_csv(tmp_path, g9):
     res = run_cli(["simulate", "--graph", "g9.json", "--init", "random",
                    "--seed", "3", "--tmax", "2", "--stride", "50",
@@ -210,6 +226,8 @@ def test_simulate_rejects_bad_flags(tmp_path, g9, flags):
     (["experiment", "--config"],
      b'{"families": [{"topology": "hex", "sizes": [[1, "a"]]}]}'),
     (["plot", "--results"], b"a,b\n1,2\n"),
+    (["simulate", "--graph", "g9.json", "--init"], b"[0, 0, 0, 0, NaN, 0, 0, 0, 0]"),
+    (["simulate", "--graph", "g9.json", "--init"], b"[0, 0, 0, 0, Infinity, 0, 0, 0, 0]"),
 ])
 def test_malformed_input_file_exits_2(tmp_path, g9, args, content):
     (tmp_path / "input").write_bytes(content)

@@ -1,4 +1,5 @@
 import itertools
+import json
 from collections import Counter
 
 import numpy as np
@@ -9,13 +10,14 @@ from hypothesis import strategies as st
 from kuramem import (EnumerationBudgetError, ParameterDomainError,
                      audit_spurious, build_hex_array, build_honeycomb,
                      build_honeycomb_chain, build_square_array,
-                     canonical_distance, construct_config, degrees,
+                     canonical_distance, classify_stability, construct_config, degrees,
                      enumerate_exact, is_phase_cohesive, max_winding, rhs,
                      winding_box, winding_box_size, winding_constrained_solve,
                      winding_vector, wrap_angle)
 from kuramem import equilibria
 from kuramem.dynamics import DEFAULT_DT, integrate_batch, lock_dt
 from kuramem.equilibria import equilibria_to_json
+from test_graphs import ALL_BUILDERS
 
 
 def test_max_winding_values():
@@ -51,8 +53,6 @@ def test_construct_rejects_out_of_range_winding():
 
 @pytest.mark.parametrize("nc,m", [(5, 1), (5, 2), (6, 2), (9, 1)])
 def test_constructed_configs_are_exact_stable_equilibria(nc, m):
-    from kuramem import classify_stability
-
     g = build_honeycomb(nc, m)
     bound = max_winding(nc)
     for k in itertools.product(range(-bound, bound + 1), repeat=m):
@@ -114,7 +114,7 @@ def test_solve_zero_winding_gives_synchrony():
     assert eq is not None
     assert eq.winding == (0, 0)
     assert canonical_distance(eq.theta, np.zeros(9)) < 1e-9
-    assert eq.verdict.kind == "stable"
+    assert classify_stability(eq.theta, g).kind == "stable"
     assert eq.residual < 1e-9
 
 
@@ -145,7 +145,8 @@ def test_solve_needs_the_perturbed_retries(monkeypatch):
     windings = [(1, 1, 1), (-1, -1, -1)]
     for w in windings:
         eq = winding_constrained_solve(g, w)
-        assert eq is not None and eq.winding == w and eq.verdict.is_stable
+        assert eq is not None and eq.winding == w
+        assert classify_stability(eq.theta, g).is_stable
     monkeypatch.setattr(equilibria, "SOLVER_RETRIES", 0)
     assert [winding_constrained_solve(g, w) for w in windings] == [None, None]
 
@@ -165,6 +166,21 @@ def test_enumerate_square_2_2_only_synchrony():
     assert len(eqs) == 1
     assert eqs[0].winding == (0, 0, 0, 0)
     assert canonical_distance(eqs[0].theta, np.zeros(9)) < 1e-9
+
+
+@pytest.mark.parametrize("builder,params",
+                         [b for b in ALL_BUILDERS if b != (build_hex_array, (2, 2))])
+def test_enumerated_hits_pass_the_eigen_check(builder, params):
+    # the solver accepts a hit on cohesion alone; the spectrum must agree,
+    # and the written eigenvalue is the one the spectrum gives
+    g = builder(*params)
+    eqs = enumerate_exact(g)
+    entries = json.loads(equilibria_to_json(g, eqs))["equilibria"]
+    assert len(entries) == len(eqs) > 0
+    for eq, entry in zip(eqs, entries):
+        verdict = classify_stability(eq.theta, g)
+        assert verdict.is_stable, eq.winding
+        assert entry["eigen_max_nonzero"] == verdict.max_nonzero_eigenvalue()
 
 
 def test_enumerate_budget_guard():
@@ -299,8 +315,6 @@ def test_chain_audit_limits_are_cohesive():
 
 
 def test_equilibria_json_shape():
-    import json
-
     g = build_honeycomb(5, 1)
     eqs = enumerate_exact(g)
     payload = json.loads(equilibria_to_json(g, eqs))

@@ -142,6 +142,33 @@ def test_incidence_and_cycle_space(builder, params):
     np.testing.assert_allclose(B @ C.T, 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("builder,params", ALL_BUILDERS)
+def test_bfs_tree_spans_the_graph(builder, params):
+    g = builder(*params)
+    tree = g.bfs_tree
+    assert tree.shape == (g.n - 1, 3)
+    reached = {1}
+    for parent, child, e in tree.tolist():
+        assert g.edges[e] == (min(parent, child), max(parent, child))
+        assert parent in reached and child not in reached
+        reached.add(child)
+    assert reached == set(range(1, g.n + 1))
+
+
+def test_json_rejects_too_few_edges_before_per_node_work():
+    import tracemalloc
+
+    text = '{"n": 1000000, "coupling_c": 1.0, "edges": [[1, 2]], "cycle_basis": []}'
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterDomainError, match="not connected"):
+            graph_from_json(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 @settings(max_examples=30, deadline=None)
 @given(nc=st.integers(5, 10), m=st.integers(1, 5))
 def test_honeycomb_counts_hold_generally(nc, m):
