@@ -20,8 +20,7 @@ from .errors import (EnumerationBudgetError, IntegrationBlowUpError,
                      RetrievalError)
 from .graphs import (Graph, build_hex_array, build_honeycomb,
                      build_honeycomb_chain, build_square_array,
-                     build_tri_array, cycle_edge_signs, degrees,
-                     graph_from_json, graph_to_json)
+                     build_tri_array, degrees, graph_from_json, graph_to_json)
 from .memory import (PatternCodec, RetrievalDiagnostics, capacity, decode,
                      encode, num_patterns, retrieve, store)
 
@@ -35,7 +34,7 @@ __all__ = [
     "build_honeycomb_chain", "build_square_array", "build_topology",
     "build_tri_array", "canonical_distance", "canonicalize", "capacity",
     "classify_stability", "construct_config", "count_exact",
-    "cycle_edge_signs", "decode", "degrees", "encode", "energy",
+    "decode", "degrees", "encode", "energy",
     "enumerate_exact", "graph_from_json", "graph_to_json", "integrate",
     "is_phase_cohesive", "jacobian", "lock_dt", "max_winding", "num_patterns",
     "retrieve", "rhs", "run_experiment", "sample_estimate", "store",

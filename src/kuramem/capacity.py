@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .equilibria import (enumerate_exact, winding_box, winding_box_size,
+from .equilibria import (_map, enumerate_exact, winding_box, winding_box_size,
                          winding_constrained_solve)
 from .errors import KuramemError, ParameterDomainError
 from .graphs import (Graph, build_hex_array, build_honeycomb,
@@ -75,13 +76,13 @@ def count_exact(g: Graph, jobs: int = 1) -> CapacityEstimate:
                             ci_low=float(count), ci_high=float(count))
 
 
-def sample_estimate(g: Graph, samples: int, seed: int = 0) -> CapacityEstimate:
+def sample_estimate(g: Graph, samples: int, seed: int = 0, jobs: int = 1) -> CapacityEstimate:
     """Estimate the count by sampling winding vectors with replacement.
 
-    The solver is deterministic per winding vector, so repeated draws are
-    resolved through a cache; the estimator is the hit fraction scaled by
-    the box size, with a Wilson 95% interval scaled and clipped the same
-    way.
+    Each distinct draw is solved once, over `jobs` processes as in
+    enumerate_exact, and counted for every draw of it; the estimator is the
+    hit fraction scaled by the box size, with a Wilson 95% interval scaled
+    and clipped the same way.
     """
     if samples < 1:
         raise ParameterDomainError(f"samples must be >= 1, got {samples}")
@@ -90,14 +91,10 @@ def sample_estimate(g: Graph, samples: int, seed: int = 0) -> CapacityEstimate:
     rng = np.random.default_rng(seed)
     lows = np.array([r.start for r in box])
     highs = np.array([r.stop for r in box])  # exclusive
-    draws = rng.integers(lows, highs, size=(samples, len(box)))
-    cache: dict[tuple[int, ...], bool] = {}
-    hits = 0
-    for row in draws:
-        w = tuple(int(k) for k in row)
-        if w not in cache:
-            cache[w] = winding_constrained_solve(g, w) is not None
-        hits += cache[w]
+    draws = list(map(tuple, rng.integers(lows, highs, size=(samples, len(box))).tolist()))
+    distinct = list(dict.fromkeys(draws))
+    solved = dict(zip(distinct, _map(partial(winding_constrained_solve, g), distinct, jobs)))
+    hits = sum(solved[w] is not None for w in draws)
     lo, hi = wilson_interval(hits, samples)
     return CapacityEstimate(box_size=box_size,
                             estimate=box_size * hits / samples,
@@ -165,6 +162,8 @@ def run_experiment(config: dict, jobs: int = 1) -> list[dict]:
         raise ParameterDomainError(f"malformed experiment config: {exc}") from exc
     if base_seed < 0:
         raise ParameterDomainError(f"experiment seed must be >= 0, got {base_seed}")
+    if samples < 1:
+        raise ParameterDomainError(f"experiment samples must be >= 1, got {samples}")
 
     out = []
     for index, (kind, p1, p2) in enumerate(rows):
@@ -179,7 +178,7 @@ def run_experiment(config: dict, jobs: int = 1) -> list[dict]:
                 est = count_exact(g, jobs=jobs)
                 record["mode"] = "exact"
             else:
-                est = sample_estimate(g, samples, seed=row_seed)
+                est = sample_estimate(g, samples, seed=row_seed, jobs=jobs)
                 record["mode"] = "sample"
                 record["samples"] = samples
             record.update(count=est.count, ci_low=est.ci_low, ci_high=est.ci_high)

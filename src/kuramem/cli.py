@@ -64,7 +64,10 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _graph_from_args(args) -> Graph:
-    if getattr(args, "graph", None):
+    if args.graph:
+        for flag in ("topology", "nc", "m", "rows", "cols", "coupling"):
+            if getattr(args, flag) is not None:
+                raise ParameterDomainError(f"--graph cannot be combined with --{flag}")
         return _load_graph(args.graph)
     if not args.topology:
         raise ParameterDomainError("provide --graph FILE or --topology flags")
@@ -73,13 +76,14 @@ def _graph_from_args(args) -> Graph:
 
 def _build_from_args(args) -> Graph:
     kind = args.topology
+    coupling = 1.0 if args.coupling is None else args.coupling
     if kind in ("honeycomb", "honeycomb_chain"):
         if args.nc is None or args.m is None:
             raise ParameterDomainError(f"{kind} requires --nc and --m")
-        return build_topology(kind, args.nc, args.m, args.coupling)
+        return build_topology(kind, args.nc, args.m, coupling)
     if args.rows is None or args.cols is None:
         raise ParameterDomainError(f"{kind} requires --rows and --cols")
-    return build_topology(kind, args.rows, args.cols, args.coupling)
+    return build_topology(kind, args.rows, args.cols, coupling)
 
 
 def _add_topology_flags(p: argparse.ArgumentParser, required: bool = False) -> None:
@@ -88,7 +92,7 @@ def _add_topology_flags(p: argparse.ArgumentParser, required: bool = False) -> N
     p.add_argument("--m", type=int, help="cycle count for honeycomb topologies")
     p.add_argument("--rows", type=int, help="cell rows for array topologies")
     p.add_argument("--cols", type=int, help="cell columns for array topologies")
-    p.add_argument("--coupling", type=float, default=1.0)
+    p.add_argument("--coupling", type=float, help="uniform edge weight (default 1.0)")
 
 
 def _add_noise(theta0: np.ndarray, args) -> np.ndarray:
@@ -106,7 +110,9 @@ def _codec_for_graph(args, g: Graph) -> PatternCodec:
     """The codec of --nc/--m, or of the graph's equal-size basis cycles.
     g must be the honeycomb that `build --topology honeycomb` writes for
     it (node count compared first, so no larger honeycomb gets built)."""
-    if args.nc is not None and args.m is not None:
+    if (args.nc is None) != (args.m is None):
+        raise ParameterDomainError("--nc and --m must be given together")
+    if args.nc is not None:
         nc, m = args.nc, args.m
     else:
         sizes = {len(c) for c in g.cycle_basis}
@@ -135,12 +141,10 @@ def cmd_enumerate(args) -> int:
 def cmd_capacity(args) -> int:
     if args.exact and args.sample is not None:
         raise ParameterDomainError("--exact and --sample are mutually exclusive")
-    if args.sample is not None and args.jobs > 1:
-        raise ParameterDomainError("--jobs is not supported with --sample")
     g = _graph_from_args(args)
     start = time.perf_counter()
     if args.sample is not None:
-        est = sample_estimate(g, args.sample, seed=_resolve_seed(args.seed))
+        est = sample_estimate(g, args.sample, _resolve_seed(args.seed), args.jobs)
         mode = "sample"
     else:
         est = count_exact(g, jobs=args.jobs)

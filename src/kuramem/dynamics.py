@@ -207,6 +207,8 @@ def integrate_batch(thetas: np.ndarray, g: Graph, omega: np.ndarray | None = Non
         raise ParameterDomainError(
             f"dt and t_max must be finite and > 0 with ceil(t_max/dt) <= "
             f"{MAX_RK4_STEPS:.0e} steps, got {dt}, {t_max}")
+    if not 0 < conv_tol < np.inf:
+        raise ParameterDomainError(f"conv_tol must be finite and > 0, got {conv_tol}")
     th = _check_length(np.atleast_2d(thetas), g).copy()
     m = th.shape[0]
     if record_stride is not None and record_stride < 1:

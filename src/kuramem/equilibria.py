@@ -22,7 +22,7 @@ from .dynamics import (DEFAULT_CONV_TOL, canonical_distance, canonicalize,
                        classify_stability, energy, integrate_batch, lock_dt,
                        rhs, wrap_angle)
 from .errors import NonIntegerWindingError, ParameterDomainError, EnumerationBudgetError
-from .graphs import Graph, cycle_edge_signs, graph_payload
+from .graphs import Graph, graph_payload
 
 TWO_PI = 2.0 * np.pi
 
@@ -79,25 +79,23 @@ def is_phase_cohesive(theta: np.ndarray, g: Graph) -> bool:
 
 
 def winding_vector(theta: np.ndarray, g: Graph) -> np.ndarray:
-    """Integer winding number of theta around each basis cycle.
-
-    The wrapped steps around a closed walk always sum to a multiple of
-    2*pi up to round-off; a residual above WINDING_INT_TOL therefore
-    raises NonIntegerWindingError rather than returning a rounded lie.
+    """Integer winding numbers around the basis cycles of one state (n,),
+    or of each row of a batch (B, n): the wrapped edge differences
+    theta_low - theta_high summed with the signs of g.cycle_signs, over
+    2*pi. A difference of exactly +-pi counts once, in its edge's own
+    orientation. A sum off an integer by WINDING_INT_TOL or more raises
+    NonIntegerWindingError rather than returning a rounded lie.
     """
     theta = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta must be finite")
-    w = np.empty(len(g.cycle_basis), dtype=int)
-    for s, cyc in enumerate(g.cycle_basis):
-        idx = np.array(cyc, dtype=np.intp) - 1
-        total = float(np.sum(wrap_angle(theta[idx] - theta[np.roll(idx, -1)])))
-        raw = total / TWO_PI
-        w[s] = round(raw)
-        if abs(raw - w[s]) >= WINDING_INT_TOL:
-            raise NonIntegerWindingError(
-                f"cycle {s}: winding {raw!r} is not an integer")
-    return w
+    d = wrap_angle(theta[..., g.edge_tails] - theta[..., g.edge_heads])
+    raw = d @ g.cycle_signs.T / TWO_PI
+    w = np.rint(raw)
+    off = np.abs(raw - w) >= WINDING_INT_TOL
+    if off.any():
+        raise NonIntegerWindingError(f"winding {float(raw[off][0])!r} is not an integer")
+    return w.astype(int)
 
 
 def construct_config(winding, cycle_size: int, cycles: int) -> np.ndarray:
@@ -135,9 +133,8 @@ def _spread_initial(g: Graph, winding) -> np.ndarray:
     sums 2*pi*w spreads each winding uniformly around its cycle; the
     field is then integrated down the graph's BFS tree from node 1.
     """
-    C = cycle_edge_signs(g)
     target = TWO_PI * np.asarray(winding, dtype=float)
-    gamma, *_ = np.linalg.lstsq(C, target, rcond=None)
+    gamma, *_ = np.linalg.lstsq(g.cycle_signs, target, rcond=None)
     theta = np.zeros(g.n)
     for u, v, e in g.bfs_tree.tolist():
         # gamma[e] models theta_low - theta_high for edge e
@@ -239,6 +236,8 @@ def enumerate_exact(g: Graph, budget: int = ENUMERATION_BUDGET,
     larger than the budget raise EnumerationBudgetError; use the sampling
     estimator then.
     """
+    if budget < 1:
+        raise ParameterDomainError(f"budget must be >= 1, got {budget}")
     size = winding_box_size(g)
     if size > budget:
         raise EnumerationBudgetError(
@@ -306,13 +305,10 @@ def audit_spurious(g: Graph, known: list[Equilibrium], trials: int,
     finals = np.vstack([r[0] for r in results])
     converged = np.concatenate([r[1] for r in results])
 
+    report.non_converged = trials - int(converged.sum())
+    limits = finals[converged]
     by_winding = {eq.winding: eq for eq in known}
-    for i in range(trials):
-        if not converged[i]:
-            report.non_converged += 1
-            continue
-        theta = finals[i]
-        w = tuple(int(k) for k in winding_vector(theta, g))
+    for theta, w in zip(limits, map(tuple, winding_vector(limits, g).tolist())):
         eq = by_winding.get(w)
         if eq is not None and canonical_distance(theta, eq.theta) < MATCH_TOL:
             report.match_counts[w] = report.match_counts.get(w, 0) + 1

@@ -49,6 +49,19 @@ class Graph:
         return np.array([b - 1 for _, b in self.edges], dtype=np.intp)
 
     @cached_property
+    def cycle_signs(self) -> np.ndarray:
+        """Read-only (cycles, E) matrix: +1 where a basis cycle traverses an
+        edge from its smaller to its larger node id, -1 the other way. Each
+        row is a circulation, with zero net flow at every node."""
+        index = {e: i for i, e in enumerate(self.edges)}
+        C = np.zeros((len(self.cycle_basis), len(self.edges)))
+        for s, cyc in enumerate(self.cycle_basis):
+            for u, v in zip(cyc, cyc[1:] + cyc[:1]):
+                C[s, index[(min(u, v), max(u, v))]] += 1.0 if u < v else -1.0
+        C.flags.writeable = False
+        return C
+
+    @cached_property
     def bfs_tree(self) -> np.ndarray:
         """Breadth-first spanning tree from node 1, neighbours in edge
         order: one (parent, child, edge index) row per node reached after
@@ -245,26 +258,6 @@ def degrees(g: Graph) -> list[int]:
         deg[a - 1] += 1
         deg[b - 1] += 1
     return deg
-
-
-def cycle_edge_signs(g: Graph) -> np.ndarray:
-    """(cycles, E) signed incidence of basis cycles on edges.
-
-    Entry +1 where the cycle traverses an edge from its smaller to its
-    larger node id, -1 for the opposite direction. Rows are members of
-    the graph's cycle space: each is a circulation, with zero net flow
-    at every node.
-    """
-    index = {e: i for i, e in enumerate(g.edges)}
-    C = np.zeros((len(g.cycle_basis), len(g.edges)))
-    for s, cyc in enumerate(g.cycle_basis):
-        for t in range(len(cyc)):
-            u, v = cyc[t], cyc[(t + 1) % len(cyc)]
-            if u < v:
-                C[s, index[(u, v)]] += 1.0
-            else:
-                C[s, index[(v, u)]] -= 1.0
-    return C
 
 
 def graph_payload(g: Graph) -> dict:

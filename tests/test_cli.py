@@ -101,11 +101,40 @@ def test_capacity_sampled_from_graph_file(tmp_path, g9):
     assert float(row[5]) == 9.0
 
 
-def test_capacity_sample_rejects_jobs(tmp_path, g9):
-    res = run_cli(["capacity", "--graph", "g9.json", "--sample", "5",
-                   "--jobs", "2"], tmp_path)
+def _without_wall_ms(csv_text):
+    return [line.rsplit(",", 1)[0] for line in csv_text.strip().split("\n")]
+
+
+def test_capacity_sample_jobs_match_serial(tmp_path):
+    args = ["capacity", "--topology", "hex", "--rows", "3", "--cols", "3",
+            "--sample", "30", "--seed", "5"]
+    serial = run_cli([*args, "--jobs", "1"], tmp_path)
+    parallel = run_cli([*args, "--jobs", "2"], tmp_path)
+    assert serial.returncode == parallel.returncode == 0, parallel.stderr
+    assert _without_wall_ms(serial.stdout) == _without_wall_ms(parallel.stdout)
+
+
+def test_experiment_sampled_row_jobs_match_serial(tmp_path):
+    config = {"seed": 2, "samples": 20, "exact_threshold": 30,
+              "families": [{"topology": "honeycomb", "nc": 5, "m_values": [1]},
+                           {"topology": "hex", "sizes": [[2, 2]]}]}
+    (tmp_path / "exp.json").write_text(json.dumps(config))
+    serial = run_cli(["experiment", "--config", "exp.json", "--jobs", "1"], tmp_path)
+    parallel = run_cli(["experiment", "--config", "exp.json", "--jobs", "2"], tmp_path)
+    assert serial.returncode == parallel.returncode == 0, parallel.stderr
+    rows = _without_wall_ms(serial.stdout)
+    assert [r.split(",")[4] for r in rows[1:]] == ["exact", "sample"]
+    assert rows == _without_wall_ms(parallel.stdout)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--topology", "hex"], ["--nc", "5"], ["--m", "2"], ["--rows", "2"],
+    ["--cols", "2"], ["--coupling", "3"], ["--coupling", "1"],
+])
+def test_capacity_graph_file_rejects_topology_flags(tmp_path, g9, flags):
+    res = run_cli(["capacity", "--graph", "g9.json", "--exact", *flags], tmp_path)
     assert res.returncode == 2
-    assert "--jobs" in res.stderr and res.stdout == ""
+    assert flags[0] in res.stderr and res.stdout == ""
 
 
 def test_capacity_times_the_count(tmp_path, g9):
@@ -147,6 +176,14 @@ def test_retrieve_rejects_bad_pattern(tmp_path, g9):
     res = run_cli(["retrieve", "--graph", "g9.json", "--pattern", "0000"],
                   tmp_path)
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("command", ["store", "retrieve"])
+@pytest.mark.parametrize("flag", [["--nc", "9"], ["--m", "3"]])
+def test_store_and_retrieve_reject_a_lone_codec_flag(tmp_path, g9, command, flag):
+    res = run_cli([command, "--graph", "g9.json", "--pattern", "0010", *flag], tmp_path)
+    assert res.returncode == 2
+    assert "--nc and --m" in res.stderr and res.stdout == ""
 
 
 def test_store_writes_state(tmp_path, g9):
@@ -208,6 +245,9 @@ RETRIEVE = ["retrieve", "--graph", "g9.json", "--pattern", "0110"]
     *[[*cmd, "--noise", v] for cmd in (SIMULATE, RETRIEVE) for v in ("inf", "nan", "-0.1")],
     [*SIMULATE, "--noise", "1e308"],
     ["enumerate", "--graph", "g9.json", "--jobs", "0"],
+    *[[*SIMULATE, "--conv-tol", v] for v in ("nan", "0", "-1", "inf")],
+    ["enumerate", "--graph", "g9.json", "--budget", "-5"],
+    ["enumerate", "--graph", "g9.json", "--budget", "0"],
 ])
 def test_simulate_rejects_bad_flags(tmp_path, g9, flags):
     res = run_cli(flags, tmp_path)
@@ -228,6 +268,9 @@ def test_simulate_rejects_bad_flags(tmp_path, g9, flags):
     (["plot", "--results"], b"a,b\n1,2\n"),
     (["simulate", "--graph", "g9.json", "--init"], b"[0, 0, 0, 0, NaN, 0, 0, 0, 0]"),
     (["simulate", "--graph", "g9.json", "--init"], b"[0, 0, 0, 0, Infinity, 0, 0, 0, 0]"),
+    *[(["experiment", "--config"],
+       b'{"samples": %d, "exact_threshold": 1, "families": '
+       b'[{"topology": "honeycomb", "nc": 5, "m_values": [1]}]}' % n) for n in (0, -3)],
 ])
 def test_malformed_input_file_exits_2(tmp_path, g9, args, content):
     (tmp_path / "input").write_bytes(content)

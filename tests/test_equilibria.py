@@ -11,7 +11,8 @@ from kuramem import (EnumerationBudgetError, ParameterDomainError,
                      audit_spurious, build_hex_array, build_honeycomb,
                      build_honeycomb_chain, build_square_array,
                      canonical_distance, classify_stability, construct_config, degrees,
-                     enumerate_exact, is_phase_cohesive, max_winding, rhs,
+                     enumerate_exact, graph_from_json, is_phase_cohesive,
+                     max_winding, rhs,
                      winding_box, winding_box_size, winding_constrained_solve,
                      winding_vector, wrap_angle)
 from kuramem import equilibria
@@ -98,6 +99,44 @@ def test_winding_rejects_non_finite():
     g = build_honeycomb(5, 1)
     with pytest.raises(ValueError):
         winding_vector(np.array([0.0, np.nan, 0.0, 0.0, 0.0]), g)
+
+
+def walk_winding(theta, g):
+    """Reference reading: the wrapped steps theta_current - theta_next
+    around each basis cycle in stored order, summed, over 2*pi."""
+    out = []
+    for cyc in g.cycle_basis:
+        idx = np.array(cyc) - 1
+        total = float(np.sum(wrap_angle(theta[idx] - theta[np.roll(idx, -1)])))
+        out.append(round(total / (2 * np.pi)))
+    return out
+
+
+@pytest.mark.parametrize("builder,params", ALL_BUILDERS)
+def test_batched_winding_matches_the_cycle_walk(builder, params):
+    g = builder(*params)
+    rng = np.random.default_rng(len(g.edges))
+    states = rng.uniform(-3 * np.pi, 3 * np.pi, size=(40, g.n))
+    reference = np.array([walk_winding(th, g) for th in states])
+    np.testing.assert_array_equal(winding_vector(states, g), reference)
+    for th, ref in zip(states, reference):
+        np.testing.assert_array_equal(winding_vector(th, g), ref)
+
+
+def test_winding_seam_counts_in_the_edge_orientation():
+    # edges (4,5) and (1,5) both differ by exactly pi: the walk reads both
+    # steps as +pi, the edge orientation reads +pi and then -pi
+    g = build_honeycomb(5, 1)
+    theta = np.array([0.0, 0.0, 0.0, 0.0, np.pi])
+    np.testing.assert_array_equal(winding_vector(theta, g), [0])
+    assert walk_winding(theta, g) == [1]
+
+
+def test_winding_of_a_tree_is_empty():
+    g = graph_from_json(
+        '{"n": 3, "coupling_c": 1.0, "edges": [[1, 2], [2, 3]], "cycle_basis": []}')
+    assert winding_vector(np.zeros(3), g).shape == (0,)
+    assert winding_vector(np.zeros((4, 3)), g).shape == (4, 0)
 
 
 def test_cohesive_checks():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from kuramem import (ParameterDomainError, build_hex_array, build_honeycomb,
                      build_honeycomb_chain, build_square_array, build_tri_array,
-                     cycle_edge_signs, degrees, graph_from_json, graph_to_json)
+                     degrees, graph_from_json, graph_to_json)
 
 ALL_BUILDERS = [
     (build_honeycomb, (5, 1)),
@@ -138,8 +138,17 @@ def test_incidence_and_cycle_space(builder, params):
     np.testing.assert_array_equal(np.sum(B == -1, axis=0), np.ones(len(g.edges)))
     np.testing.assert_array_equal(np.sum(B == 1, axis=0), np.ones(len(g.edges)))
     # every basis cycle is in the kernel of B (a circulation)
-    C = cycle_edge_signs(g)
+    C = g.cycle_signs
+    assert C.shape == (len(g.cycle_basis), len(g.edges))
     np.testing.assert_allclose(B @ C.T, 0.0, atol=1e-12)
+
+
+def test_cycle_signs_are_cached_and_read_only():
+    g = build_hex_array(2, 2)
+    assert "cycle_signs" not in vars(g)   # built on first use, not at validation
+    assert g.cycle_signs is g.cycle_signs
+    with pytest.raises(ValueError):
+        g.cycle_signs[0, 0] = 2.0
 
 
 @pytest.mark.parametrize("builder,params", ALL_BUILDERS)
