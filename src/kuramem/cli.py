@@ -77,7 +77,11 @@ def _graph_from_args(args) -> Graph:
 def _build_from_args(args) -> Graph:
     kind = args.topology
     coupling = 1.0 if args.coupling is None else args.coupling
-    if kind in ("honeycomb", "honeycomb_chain"):
+    honeycomb = kind in ("honeycomb", "honeycomb_chain")
+    for flag in ("rows", "cols") if honeycomb else ("nc", "m"):
+        if getattr(args, flag) is not None:
+            raise ParameterDomainError(f"--topology {kind} cannot take --{flag}")
+    if honeycomb:
         if args.nc is None or args.m is None:
             raise ParameterDomainError(f"{kind} requires --nc and --m")
         return build_topology(kind, args.nc, args.m, coupling)
@@ -297,7 +301,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--nc", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--dt", type=float,
-                   help="RK4 step (default: lock_dt = 1/(4*coupling*max degree))")
+                   help="RK4 step (default: lock_dt = 1/(2*coupling*lambda_max(L)))")
     p.add_argument("--tmax", type=float, default=DEFAULT_T_MAX)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_retrieve)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationBlowUpError, NotAnEquilibriumError, ParameterDomainError
-from .graphs import Graph, degrees
+from .graphs import Graph
 
 TWO_PI = 2.0 * np.pi
 
@@ -160,14 +160,15 @@ def classify_stability(theta: np.ndarray, g: Graph,
 
 
 def lock_dt(g: Graph) -> float:
-    """RK4 step for relaxing to a phase lock: 1 / (4 c max_degree).
+    """RK4 step for relaxing to a phase lock: 1 / (2 c lambda_max(L)).
 
-    By Gershgorin every eigenvalue of the Jacobian, at any state, obeys
-    |lambda| <= 2 c max_degree, so |lambda dt| <= 0.5, well inside the
-    RK4 stability interval. Callers that only want the locked state use
-    it; trajectories keep DEFAULT_DT.
+    L is the graph Laplacian. Since |cos| <= 1, every eigenvalue of the
+    Jacobian, at any state, obeys |lambda| <= c lambda_max(L), and
+    synchrony attains it (J = -c L there). So |lambda dt| <= 0.5, well
+    inside the RK4 stability interval. Callers that only want the locked
+    state use it; trajectories keep DEFAULT_DT.
     """
-    return 1.0 / (4.0 * g.coupling * max(degrees(g)))
+    return float(0.5 / -np.linalg.eigvalsh(jacobian(np.zeros(g.n), g))[0])
 
 
 @dataclass

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -222,6 +221,7 @@ def _map(fn, items: list, jobs: int) -> list:
     jobs > 1. Results come back in input order either way."""
     if jobs <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ProcessPoolExecutor   # here: loads multiprocessing
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
 

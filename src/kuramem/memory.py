@@ -116,8 +116,8 @@ def retrieve(theta0: np.ndarray, codec: PatternCodec, g: Graph,
              ) -> tuple[str, RetrievalDiagnostics]:
     """Relax theta0 to a phase lock and decode the pattern it landed on.
 
-    dt defaults to lock_dt(g), a step that lands on the same lock as
-    DEFAULT_DT at a fraction of the cost.
+    dt defaults to lock_dt(g) = 1 / (2 c lambda_max(L)), a step that lands
+    on the same lock as DEFAULT_DT at a fraction of the cost.
 
     Raises RetrievalError when the dynamics fail to lock within t_max or
     the limit's winding vector falls outside the admissible range (which

@@ -137,6 +137,18 @@ def test_capacity_graph_file_rejects_topology_flags(tmp_path, g9, flags):
     assert flags[0] in res.stderr and res.stdout == ""
 
 
+@pytest.mark.parametrize("args", [
+    ["capacity", "--topology", "hex", "--rows", "1", "--cols", "1", "--nc", "5",
+     "--m", "7", "--exact"],
+    ["build", "--topology", "honeycomb", "--nc", "5", "--m", "1", "--rows", "9",
+     "--cols", "9"],
+])
+def test_topology_rejects_the_other_family_flags(tmp_path, args):
+    res = run_cli(args, tmp_path)
+    assert res.returncode == 2
+    assert "cannot take" in res.stderr and res.stdout == ""
+
+
 def test_capacity_times_the_count(tmp_path, g9):
     res = run_cli(["capacity", "--graph", "g9.json", "--exact"], tmp_path)
     assert res.returncode == 0, res.stderr

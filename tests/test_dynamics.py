@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from kuramem import (NotAnEquilibriumError, ParameterDomainError, build_honeycomb,
                      build_hex_array, build_square_array, canonical_distance,
-                     canonicalize, classify_stability, construct_config, energy,
-                     integrate, jacobian, lock_dt, rhs, wrap_angle)
+                     canonicalize, classify_stability, construct_config, degrees,
+                     energy, integrate, jacobian, lock_dt, rhs, wrap_angle)
 from kuramem.dynamics import MAX_RK4_STEPS, integrate_batch
 from test_graphs import ALL_BUILDERS, oriented_incidence
 
@@ -239,11 +239,13 @@ def test_lock_dt_respects_the_spectral_bound(builder, params):
     g = builder(*params, coupling=1.5)
     rng = np.random.default_rng(31)
     states = [np.zeros(g.n)] + [rng.uniform(-np.pi, np.pi, g.n) for _ in range(5)]
-    # hex 1x1 is a 6-cycle: bipartite and regular, so synchrony attains the
-    # bound up to the eigensolver's round-off
-    for theta in states:
-        top = np.max(np.abs(np.linalg.eigvalsh(jacobian(theta, g))))
-        assert top * lock_dt(g) <= 0.5 + 1e-12
+    dt = lock_dt(g)
+    tops = [np.max(np.abs(np.linalg.eigvalsh(jacobian(theta, g)))) for theta in states]
+    assert max(tops) * dt <= 0.5 + 1e-12
+    # synchrony attains the bound on every graph (J = -c L there), up to the
+    # eigensolver's round-off; the step is never below the Gershgorin one
+    assert tops[0] * dt == pytest.approx(0.5, abs=1e-12)
+    assert dt >= 1 / (4 * g.coupling * max(degrees(g)))
 
 
 def test_integrate_reports_non_convergence():
