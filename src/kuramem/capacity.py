@@ -20,6 +20,7 @@ from .equilibria import (_map, enumerate_exact, winding_box, winding_box_size,
 from .errors import KuramemError, ParameterDomainError
 from .graphs import (Graph, build_hex_array, build_honeycomb,
                      build_honeycomb_chain, build_square_array, build_tri_array)
+from .jsonutil import integer
 
 # two-sided 95% normal quantile
 Z_95 = 1.959963984540054
@@ -102,23 +103,24 @@ def sample_estimate(g: Graph, samples: int, seed: int = 0, jobs: int = 1) -> Cap
                             samples=samples, hits=hits, seed=seed)
 
 
+# Each topology kind's builder and the names of its two parameters.
 BUILDERS = {
-    "honeycomb": build_honeycomb,
-    "honeycomb_chain": build_honeycomb_chain,
-    "hex": build_hex_array,
-    "hex_array": build_hex_array,
-    "square": build_square_array,
-    "square_array": build_square_array,
-    "tri": build_tri_array,
-    "tri_array": build_tri_array,
+    "honeycomb": (build_honeycomb, ("nc", "m")),
+    "honeycomb_chain": (build_honeycomb_chain, ("nc", "m")),
+    "hex": (build_hex_array, ("rows", "cols")),
+    "hex_array": (build_hex_array, ("rows", "cols")),
+    "square": (build_square_array, ("rows", "cols")),
+    "square_array": (build_square_array, ("rows", "cols")),
+    "tri": (build_tri_array, ("rows", "cols")),
+    "tri_array": (build_tri_array, ("rows", "cols")),
 }
 
 
 def build_topology(kind: str, p1: int, p2: int, coupling: float = 1.0) -> Graph:
-    """Dispatch a builder by name; (p1, p2) is (nc, m) for honeycombs and
-    (rows, cols) for arrays. Array kinds accept both short and _array names."""
+    """Dispatch a builder by name, with the two parameters BUILDERS names
+    for it. Array kinds accept both short and _array names."""
     try:
-        builder = BUILDERS[kind]
+        builder, _ = BUILDERS[kind]
     except KeyError:
         raise ParameterDomainError(
             f"unknown topology {kind!r}, expected one of {sorted(BUILDERS)}")
@@ -133,30 +135,30 @@ def _family_rows(family: dict) -> list[tuple[str, int, int]]:
     kind = family["topology"]
     if kind not in BUILDERS:
         raise ParameterDomainError(f"unknown topology {kind!r}")
-    if "m_values" in family:
-        nc = int(family["nc"])
-        return [(kind, nc, int(m)) for m in family["m_values"]]
-    if "sizes" in family:
-        return [(kind, int(r), int(c)) for r, c in family["sizes"]]
-    raise ParameterDomainError(
-        f"family {kind!r} needs either 'nc'+'m_values' or 'sizes'")
+    names = BUILDERS[kind][1]
+    honeycomb = names == ("nc", "m")
+    keys = {"topology", "nc", "m_values"} if honeycomb else {"topology", "sizes"}
+    if set(family) != keys:
+        raise ParameterDomainError(f"family {kind!r} takes keys {sorted(keys)}")
+    pairs = [(family["nc"], m) for m in family["m_values"]] if honeycomb else family["sizes"]
+    return [(kind, integer(p1, names[0]), integer(p2, names[1])) for p1, p2 in pairs]
 
 
 def run_experiment(config: dict, jobs: int = 1) -> list[dict]:
     """Sweep the configured topology families and count configurations.
 
-    Config keys: seed (int), samples (int), exact_threshold (int), and
-    families, a list of {"topology": ..., "nc": ..., "m_values": [...]}
-    or {"topology": ..., "sizes": [[r, c], ...]} entries. Rows whose
-    winding box is at most exact_threshold are enumerated exactly, the
-    rest sampled. A row that fails with a KuramemError is recorded as an
-    `error` row and the sweep goes on; any other exception is a bug and
-    propagates.
+    Config keys: seed, samples, exact_threshold (ints) and families, a
+    list of {"topology": ..., "nc": ..., "m_values": [...]} for honeycomb
+    kinds or {"topology": ..., "sizes": [[r, c], ...]} for arrays. Rows
+    whose winding box is at most exact_threshold are enumerated exactly,
+    the rest sampled. A row that fails with a KuramemError is recorded as
+    an `error` row and the sweep goes on; any other exception is a bug
+    and propagates.
     """
     try:
-        base_seed = int(config.get("seed", 0))
-        samples = int(config.get("samples", DEFAULT_SAMPLES))
-        threshold = int(config.get("exact_threshold", EXACT_THRESHOLD))
+        base_seed = integer(config.get("seed", 0), "seed")
+        samples = integer(config.get("samples", DEFAULT_SAMPLES), "samples")
+        threshold = integer(config.get("exact_threshold", EXACT_THRESHOLD), "exact_threshold")
         rows = [r for family in config.get("families", []) for r in _family_rows(family)]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParameterDomainError(f"malformed experiment config: {exc}") from exc

@@ -74,20 +74,21 @@ def _graph_from_args(args) -> Graph:
     return _build_from_args(args)
 
 
+def _topology_params(args) -> tuple[int, int]:
+    """The --topology parameters that BUILDERS names, e.g. (nc, m)."""
+    names = BUILDERS[args.topology][1]
+    for flag in ("nc", "m", "rows", "cols"):
+        if flag not in names and getattr(args, flag) is not None:
+            raise ParameterDomainError(f"--topology {args.topology} cannot take --{flag}")
+    params = tuple(getattr(args, name) for name in names)
+    if None in params:
+        raise ParameterDomainError(f"{args.topology} requires --{names[0]} and --{names[1]}")
+    return params
+
+
 def _build_from_args(args) -> Graph:
-    kind = args.topology
     coupling = 1.0 if args.coupling is None else args.coupling
-    honeycomb = kind in ("honeycomb", "honeycomb_chain")
-    for flag in ("rows", "cols") if honeycomb else ("nc", "m"):
-        if getattr(args, flag) is not None:
-            raise ParameterDomainError(f"--topology {kind} cannot take --{flag}")
-    if honeycomb:
-        if args.nc is None or args.m is None:
-            raise ParameterDomainError(f"{kind} requires --nc and --m")
-        return build_topology(kind, args.nc, args.m, coupling)
-    if args.rows is None or args.cols is None:
-        raise ParameterDomainError(f"{kind} requires --rows and --cols")
-    return build_topology(kind, args.rows, args.cols, coupling)
+    return build_topology(args.topology, *_topology_params(args), coupling)
 
 
 def _add_topology_flags(p: argparse.ArgumentParser, required: bool = False) -> None:
@@ -110,22 +111,14 @@ def _add_noise(theta0: np.ndarray, args) -> np.ndarray:
     return theta0 + rng.uniform(-args.noise, args.noise, len(theta0))
 
 
-def _codec_for_graph(args, g: Graph) -> PatternCodec:
-    """The codec of --nc/--m, or of the graph's equal-size basis cycles.
-    g must be the honeycomb that `build --topology honeycomb` writes for
-    it (node count compared first, so no larger honeycomb gets built)."""
-    if (args.nc is None) != (args.m is None):
-        raise ParameterDomainError("--nc and --m must be given together")
-    if args.nc is not None:
-        nc, m = args.nc, args.m
-    else:
-        sizes = {len(c) for c in g.cycle_basis}
-        if len(sizes) != 1:
-            raise ParameterDomainError("cannot infer codec from graph; pass --nc and --m")
-        nc, m = sizes.pop(), len(g.cycle_basis)
+def _codec_for_graph(g: Graph) -> PatternCodec:
+    """The codec of g's basis cycles; g must be the honeycomb `build`
+    writes for it (node count first, so no large one gets built)."""
+    m = len(g.cycle_basis)
+    nc = len(g.cycle_basis[0]) if m else 0
     codec = PatternCodec(nc, m)
     if g.n != m * (nc - 1) + 1 or g != build_honeycomb(nc, m, g.coupling):
-        raise ParameterDomainError(f"graph is not the honeycomb with --nc {nc} --m {m}")
+        raise ParameterDomainError(f"graph is not the honeycomb with nc {nc}, m {m}")
     return codec
 
 
@@ -146,6 +139,7 @@ def cmd_capacity(args) -> int:
     if args.exact and args.sample is not None:
         raise ParameterDomainError("--exact and --sample are mutually exclusive")
     g = _graph_from_args(args)
+    param1, param2 = _topology_params(args) if args.topology else (0, 0)
     start = time.perf_counter()
     if args.sample is not None:
         est = sample_estimate(g, args.sample, _resolve_seed(args.seed), args.jobs)
@@ -154,9 +148,7 @@ def cmd_capacity(args) -> int:
         est = count_exact(g, jobs=args.jobs)
         mode = "exact"
     row = {
-        "topology": args.topology or "file",
-        "param1": args.nc if args.nc is not None else (args.rows or 0),
-        "param2": args.m if args.m is not None else (args.cols or 0),
+        "topology": args.topology or "file", "param1": param1, "param2": param2,
         "n_nodes": g.n, "mode": mode, "count": est.count,
         "ci_low": est.ci_low, "ci_high": est.ci_high,
         "samples": est.samples, "seed": est.seed,
@@ -168,7 +160,7 @@ def cmd_capacity(args) -> int:
 
 def cmd_store(args) -> int:
     g = _load_graph(args.graph)
-    codec = _codec_for_graph(args, g)
+    codec = _codec_for_graph(g)
     theta = store(args.pattern, codec)
     payload = {
         "pattern": args.pattern,
@@ -181,7 +173,7 @@ def cmd_store(args) -> int:
 
 def cmd_retrieve(args) -> int:
     g = _load_graph(args.graph)
-    codec = _codec_for_graph(args, g)
+    codec = _codec_for_graph(g)
     theta0 = _add_noise(store(args.pattern, codec), args)
     bits, diag = retrieve(theta0, codec, g, dt=args.dt, t_max=args.tmax)
     lines = [bits,
@@ -287,8 +279,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("store", help="phase configuration for a bit pattern")
     p.add_argument("--graph", required=True)
     p.add_argument("--pattern", required=True)
-    p.add_argument("--nc", type=int)
-    p.add_argument("--m", type=int)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_store)
 
@@ -298,8 +288,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int)
-    p.add_argument("--nc", type=int)
-    p.add_argument("--m", type=int)
     p.add_argument("--dt", type=float,
                    help="RK4 step (default: lock_dt = 1/(2*coupling*lambda_max(L)))")
     p.add_argument("--tmax", type=float, default=DEFAULT_T_MAX)

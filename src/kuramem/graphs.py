@@ -13,8 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import jsonutil
 from .errors import ParameterDomainError
+from .jsonutil import dumps, integer
 
 Edge = tuple[int, int]
 Cycle = tuple[int, ...]
@@ -52,12 +52,16 @@ class Graph:
     def cycle_signs(self) -> np.ndarray:
         """Read-only (cycles, E) matrix: +1 where a basis cycle traverses an
         edge from its smaller to its larger node id, -1 the other way. Each
-        row is a circulation, with zero net flow at every node."""
+        row is a circulation, with zero net flow at every node. Dependent
+        rows (no basis) raise ParameterDomainError; the rank takes an SVD,
+        so it is checked here, on first use, and not at validation."""
         index = {e: i for i, e in enumerate(self.edges)}
         C = np.zeros((len(self.cycle_basis), len(self.edges)))
         for s, cyc in enumerate(self.cycle_basis):
             for u, v in zip(cyc, cyc[1:] + cyc[:1]):
                 C[s, index[(min(u, v), max(u, v))]] += 1.0 if u < v else -1.0
+        if np.linalg.matrix_rank(C) < len(C):
+            raise ParameterDomainError("cycle basis is linearly dependent")
         C.flags.writeable = False
         return C
 
@@ -86,8 +90,8 @@ class Graph:
 def _validated_graph(n: int, edges: list[Edge], cycles: list[Cycle],
                      coupling: float) -> Graph:
     """Normalize, check structural invariants, and freeze a Graph."""
-    if n < 1:
-        raise ParameterDomainError(f"node count must be >= 1, got {n}")
+    if n < 2:
+        raise ParameterDomainError(f"node count must be >= 2, got {n}")
     if not 0 < coupling < np.inf:
         raise ParameterDomainError(f"coupling must be finite and positive, got {coupling}")
     if len(edges) < n - 1:   # before any O(n) work: n nodes need n - 1 edges
@@ -268,17 +272,17 @@ def graph_payload(g: Graph) -> dict:
 
 def graph_to_json(g: Graph) -> str:
     """Serialize to the interchange schema."""
-    return jsonutil.dumps(graph_payload(g))
+    return dumps(graph_payload(g))
 
 
 def graph_from_json(text: str) -> Graph:
     """Parse and re-validate a graph from its JSON form."""
     try:
         payload = json.loads(text)
-        n = int(payload["n"])
+        n = integer(payload["n"], "n")
         coupling = float(payload["coupling_c"])
-        edges = [(int(a), int(b)) for a, b in payload["edges"]]
-        cycles = [tuple(int(v) for v in c) for c in payload["cycle_basis"]]
+        edges = [(integer(a, "edge end"), integer(b, "edge end")) for a, b in payload["edges"]]
+        cycles = [tuple(integer(v, "cycle node") for v in c) for c in payload["cycle_basis"]]
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ParameterDomainError(f"malformed graph JSON: {exc}") from exc
     return _validated_graph(n, edges, cycles, coupling)

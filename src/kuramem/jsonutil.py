@@ -1,10 +1,19 @@
-"""Deterministic JSON emission.
+"""Deterministic JSON emission, and integer reading for parsed input.
 
 The stdlib encoder prints floats with shortest round-trip repr; artifact
 files instead carry every float with 17 significant digits so that output
 bytes are stable across platforms and numpy versions.
 """
 from __future__ import annotations
+
+from .errors import ParameterDomainError
+
+
+def integer(value, what: str) -> int:
+    """A JSON int or integral float (1e5) as an int, else ParameterDomainError."""
+    if type(value) is int or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ParameterDomainError(f"{what} must be an integer, got {value!r}")
 
 
 def _fmt(value, indent: int, level: int) -> str:

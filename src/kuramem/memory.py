@@ -17,7 +17,7 @@ import numpy as np
 from .dynamics import DEFAULT_T_MAX, integrate, lock_dt, rhs
 from .equilibria import construct_config, is_phase_cohesive, max_winding, winding_vector
 from .errors import ParameterDomainError, RetrievalError
-from .graphs import Graph
+from .graphs import Graph, _check_honeycomb_params
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,7 @@ class PatternCodec:
     cycles: int
 
     def __post_init__(self):
-        if self.cycle_size < 5:
-            raise ParameterDomainError(
-                f"cycle size must be >= 5, got {self.cycle_size}")
-        if self.cycles < 1:
-            raise ParameterDomainError(
-                f"cycle count must be >= 1, got {self.cycles}")
+        _check_honeycomb_params(self.cycle_size, self.cycles)
 
     @cached_property
     def max_winding(self) -> int:

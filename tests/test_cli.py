@@ -191,11 +191,12 @@ def test_retrieve_rejects_bad_pattern(tmp_path, g9):
 
 
 @pytest.mark.parametrize("command", ["store", "retrieve"])
-@pytest.mark.parametrize("flag", [["--nc", "9"], ["--m", "3"]])
-def test_store_and_retrieve_reject_a_lone_codec_flag(tmp_path, g9, command, flag):
-    res = run_cli([command, "--graph", "g9.json", "--pattern", "0010", *flag], tmp_path)
+def test_store_and_retrieve_take_no_codec_flags(tmp_path, g9, command):
+    # the graph file alone fixes the codec
+    res = run_cli([command, "--graph", "g9.json", "--pattern", "0010",
+                   "--nc", "5", "--m", "2"], tmp_path)
     assert res.returncode == 2
-    assert "--nc and --m" in res.stderr and res.stdout == ""
+    assert "unrecognized arguments: --nc 5 --m 2" in res.stderr and res.stdout == ""
 
 
 def test_store_writes_state(tmp_path, g9):
@@ -283,12 +284,34 @@ def test_simulate_rejects_bad_flags(tmp_path, g9, flags):
     *[(["experiment", "--config"],
        b'{"samples": %d, "exact_threshold": 1, "families": '
        b'[{"topology": "honeycomb", "nc": 5, "m_values": [1]}]}' % n) for n in (0, -3)],
+    # a family with the keys of the other topology family
+    (["experiment", "--config"], b'{"families": [{"topology": "hex", "nc": 2, "m_values": [1]}]}'),
+    (["experiment", "--config"], b'{"families": [{"topology": "honeycomb", "sizes": [[5, 2]]}]}'),
+    # integers that are not integers
+    *[(["experiment", "--config"], b'{%s"families": [{"topology": "honeycomb", "nc": %s, '
+       b'"m_values": [%s]}]}' % fields) for fields in [
+        (b"", b"5.7", b"1"), (b"", b"5", b"1.2"), (b'"seed": 1.5, ', b"5", b"1"),
+        (b'"samples": 2.9, "exact_threshold": 1, ', b"5", b"1")]],
+    *[(["enumerate", "--graph"], b'{"n": %s, "coupling_c": 1.0, "edges": [[%s], [1, 5], '
+       b'[2, 3], [3, 4], [4, 5]], "cycle_basis": [[1, 2, 3, 4, 5]]}' % fields)
+      for fields in [(b"5", b"true, 2"), (b"5", b"1, 2.9"), (b"5.7", b"1, 2")]],
+    # a one-node graph
+    *[(args, b'{"n": 1, "coupling_c": 1.0, "edges": [], "cycle_basis": []}') for args in [
+        ["enumerate", "--graph"], ["capacity", "--exact", "--graph"],
+        ["capacity", "--sample", "5", "--graph"], ["audit", "--trials", "3", "--graph"],
+        ["simulate", "--tmax", "1", "--graph"]]],
+    # hex 1x2 with its first hexagon listed twice: |E|-n+1 cycles, all edges, no basis
+    *[(args, b'{"n": 10, "coupling_c": 1.0, "edges": [[1, 2], [1, 6], [2, 3], [3, 4], [3, 8], '
+       b'[4, 5], [5, 10], [6, 7], [7, 8], [8, 9], [9, 10]], '
+       b'"cycle_basis": [[1, 2, 3, 8, 7, 6], [1, 2, 3, 8, 7, 6]]}')
+      for args in [["capacity", "--exact", "--graph"], ["enumerate", "--graph"]]],
 ])
 def test_malformed_input_file_exits_2(tmp_path, g9, args, content):
     (tmp_path / "input").write_bytes(content)
     res = run_cli([*args, "input"], tmp_path)
     assert res.returncode == 2
     assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+    assert res.stdout == ""
 
 
 def test_plot_skips_rows_it_cannot_place():

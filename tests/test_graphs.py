@@ -138,9 +138,10 @@ def test_incidence_and_cycle_space(builder, params):
     np.testing.assert_array_equal(np.sum(B == -1, axis=0), np.ones(len(g.edges)))
     np.testing.assert_array_equal(np.sum(B == 1, axis=0), np.ones(len(g.edges)))
     # every basis cycle is in the kernel of B (a circulation)
-    C = g.cycle_signs
+    C = g.cycle_signs   # raises unless the basis cycles are independent
     assert C.shape == (len(g.cycle_basis), len(g.edges))
     np.testing.assert_allclose(B @ C.T, 0.0, atol=1e-12)
+    assert np.linalg.matrix_rank(C) == len(g.cycle_basis)
 
 
 def test_cycle_signs_are_cached_and_read_only():
