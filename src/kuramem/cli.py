@@ -231,6 +231,9 @@ def cmd_experiment(args) -> int:
         config = json.loads(_read_text(args.config))
     except ValueError as exc:
         raise ParameterDomainError(f"malformed config {args.config}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ParameterDomainError(
+            f"malformed experiment config: expected a JSON object, got {type(config).__name__}")
     if args.seed is not None or SEED_ENV in os.environ:
         config["seed"] = _resolve_seed(args.seed)
     rows = run_experiment(config, jobs=args.jobs)

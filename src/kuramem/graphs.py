@@ -129,6 +129,21 @@ def _validated_graph(n: int, edges: list[Edge], cycles: list[Cycle],
     return g
 
 
+def _ring_graph(rings: list[Cycle], coupling: float) -> Graph:
+    """Graph of the given basis rings: its edges are the union of the
+    rings' consecutive steps, its nodes 1..(largest id in a ring)."""
+    edges = {(min(u, v), max(u, v))
+             for ring in rings for u, v in zip(ring, ring[1:] + ring[:1])}
+    return _validated_graph(max(map(max, rings)), list(edges), rings, coupling)
+
+
+def _planar_graph(faces: list[tuple[tuple[int, int], ...]], coupling: float) -> Graph:
+    """Graph of lattice faces given as walks of (y, x) corners; corners
+    are numbered from 1 row by row, in (y, x) order."""
+    ids = {yx: i for i, yx in enumerate(sorted({yx for f in faces for yx in f}), 1)}
+    return _ring_graph([tuple(ids[yx] for yx in f) for f in faces], coupling)
+
+
 def _check_honeycomb_params(cycle_size: int, cycles: int) -> None:
     if cycle_size < 5:
         raise ParameterDomainError(
@@ -142,19 +157,13 @@ def build_honeycomb(cycle_size: int, cycles: int, coupling: float = 1.0) -> Grap
     """Chain of `cycles` rings of `cycle_size` nodes, consecutive rings
     sharing exactly one node.
 
-    Nodes 1..cycles*(cycle_size-1)+1 form a path; ring p (0-based) is
-    closed by a chord from its first node p*(cycle_size-1)+1 to its last.
+    Ring p (0-based) is nodes p*(cycle_size-1)+1 .. p*(cycle_size-1)+cycle_size
+    in order, so the rings' steps form the path 1..n plus one chord per ring.
     """
     _check_honeycomb_params(cycle_size, cycles)
-    n = cycles * (cycle_size - 1) + 1
-    edges: list[Edge] = [(i, i + 1) for i in range(1, n)]
-    edges += [(p * (cycle_size - 1) + 1, p * (cycle_size - 1) + cycle_size)
-              for p in range(cycles)]
-    basis = []
-    for p in range(cycles):
-        start = p * (cycle_size - 1) + 1
-        basis.append(tuple(range(start, start + cycle_size)))
-    return _validated_graph(n, edges, basis, coupling)
+    k = cycle_size - 1
+    return _ring_graph([tuple(range(p * k + 1, p * k + cycle_size + 1))
+                        for p in range(cycles)], coupling)
 
 
 def build_honeycomb_chain(cycle_size: int, cycles: int, coupling: float = 1.0) -> Graph:
@@ -165,19 +174,12 @@ def build_honeycomb_chain(cycle_size: int, cycles: int, coupling: float = 1.0) -
     one endpoint of degree 2.
     """
     _check_honeycomb_params(cycle_size, cycles)
-    offset = cycle_size // 2
-    edges: list[Edge] = []
-    basis: list[Cycle] = []
-    ring = tuple(range(1, cycle_size + 1))
-    next_id = cycle_size + 1
-    for p in range(cycles):
-        basis.append(ring)
-        edges += [(ring[t], ring[(t + 1) % cycle_size]) for t in range(cycle_size)]
-        if p + 1 < cycles:
-            junction = ring[offset]
-            ring = (junction,) + tuple(range(next_id, next_id + cycle_size - 1))
-            next_id += cycle_size - 1
-    return _validated_graph(next_id - 1, edges, basis, coupling)
+    rings = [tuple(range(1, cycle_size + 1))]
+    for _ in range(cycles - 1):
+        last = rings[-1][-1]   # each ring ends on the largest id so far
+        rings.append((rings[-1][cycle_size // 2],)
+                     + tuple(range(last + 1, last + cycle_size)))
+    return _ring_graph(rings, coupling)
 
 
 def _check_array_params(rows: int, cols: int) -> None:
@@ -194,74 +196,32 @@ def build_hex_array(rows: int, cols: int, coupling: float = 1.0) -> Graph:
     each horizontal side, odd rows offset by one unit.
     """
     _check_array_params(rows, cols)
-    coords: set[tuple[int, int]] = set()
-    faces_xy = []
-    for r in range(rows):
-        for c in range(cols):
-            x0 = 2 * c + (r % 2)
-            corners = [(x0, r), (x0 + 1, r), (x0 + 2, r),
-                       (x0 + 2, r + 1), (x0 + 1, r + 1), (x0, r + 1)]
-            coords.update(corners)
-            faces_xy.append(corners)
-    ids = {xy: i + 1 for i, xy in enumerate(sorted(coords, key=lambda p: (p[1], p[0])))}
-    edges: set[Edge] = set()
-    basis = []
-    for corners in faces_xy:
-        cyc = tuple(ids[xy] for xy in corners)
-        basis.append(cyc)
-        for t in range(6):
-            u, v = cyc[t], cyc[(t + 1) % 6]
-            edges.add((min(u, v), max(u, v)))
-    return _validated_graph(len(ids), sorted(edges), basis, coupling)
-
-
-def _square_grid(rows: int, cols: int):
-    """Node ids and orthogonal edges of the (rows+1) x (cols+1) grid."""
-    ids = {(x, y): y * (cols + 1) + x + 1
-           for y in range(rows + 1) for x in range(cols + 1)}
-    edges = []
-    for y in range(rows + 1):
-        for x in range(cols + 1):
-            if x < cols:
-                edges.append((ids[(x, y)], ids[(x + 1, y)]))
-            if y < rows:
-                edges.append((ids[(x, y)], ids[(x, y + 1)]))
-    return ids, edges
+    return _planar_graph([((y, x), (y, x + 1), (y, x + 2),
+                           (y + 1, x + 2), (y + 1, x + 1), (y + 1, x))
+                          for y in range(rows) for x in range(y % 2, 2 * cols + y % 2, 2)],
+                         coupling)
 
 
 def build_square_array(rows: int, cols: int, coupling: float = 1.0) -> Graph:
     """Square lattice of rows x cols unit cells; basis = the cell 4-cycles."""
     _check_array_params(rows, cols)
-    ids, edges = _square_grid(rows, cols)
-    basis = []
-    for y in range(rows):
-        for x in range(cols):
-            basis.append((ids[(x, y)], ids[(x + 1, y)],
-                          ids[(x + 1, y + 1)], ids[(x, y + 1)]))
-    return _validated_graph(len(ids), edges, basis, coupling)
+    return _planar_graph([((y, x), (y, x + 1), (y + 1, x + 1), (y + 1, x))
+                          for y in range(rows) for x in range(cols)], coupling)
 
 
 def build_tri_array(rows: int, cols: int, coupling: float = 1.0) -> Graph:
     """Triangular lattice obtained by splitting each square cell along its
     ascending diagonal; basis = the 2*rows*cols triangles."""
     _check_array_params(rows, cols)
-    ids, edges = _square_grid(rows, cols)
-    basis = []
-    for y in range(rows):
-        for x in range(cols):
-            edges.append((ids[(x, y)], ids[(x + 1, y + 1)]))
-            basis.append((ids[(x, y)], ids[(x + 1, y)], ids[(x + 1, y + 1)]))
-            basis.append((ids[(x, y)], ids[(x + 1, y + 1)], ids[(x, y + 1)]))
-    return _validated_graph(len(ids), edges, basis, coupling)
+    return _planar_graph([face for y in range(rows) for x in range(cols)
+                          for face in (((y, x), (y, x + 1), (y + 1, x + 1)),
+                                       ((y, x), (y + 1, x + 1), (y + 1, x)))], coupling)
 
 
 def degrees(g: Graph) -> list[int]:
     """Degree of each node, in node-id order."""
-    deg = [0] * g.n
-    for a, b in g.edges:
-        deg[a - 1] += 1
-        deg[b - 1] += 1
-    return deg
+    return np.bincount(np.concatenate([g.edge_tails, g.edge_heads]),
+                       minlength=g.n).tolist()
 
 
 def graph_payload(g: Graph) -> dict:
@@ -280,9 +240,12 @@ def graph_from_json(text: str) -> Graph:
     try:
         payload = json.loads(text)
         n = integer(payload["n"], "n")
-        coupling = float(payload["coupling_c"])
+        coupling = payload["coupling_c"]
+        if type(coupling) not in (int, float):
+            raise TypeError(f"coupling_c must be a number, got {coupling!r}")
+        coupling = float(coupling)   # an int too large for a float overflows
         edges = [(integer(a, "edge end"), integer(b, "edge end")) for a, b in payload["edges"]]
         cycles = [tuple(integer(v, "cycle node") for v in c) for c in payload["cycle_basis"]]
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:   # JSONDecodeError too
         raise ParameterDomainError(f"malformed graph JSON: {exc}") from exc
     return _validated_graph(n, edges, cycles, coupling)

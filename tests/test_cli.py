@@ -314,6 +314,18 @@ def test_malformed_input_file_exits_2(tmp_path, g9, args, content):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("content", [b"[1]", b'"x"'])
+@pytest.mark.parametrize("seed_args,env", [([], None), (["--seed", "1"], None),
+                                           ([], {"KURAMEM_SEED": "1"})])
+def test_experiment_config_that_is_not_an_object_exits_2(tmp_path, content, seed_args, env):
+    (tmp_path / "exp.json").write_bytes(content)
+    res = run_cli(["experiment", "--config", "exp.json", *seed_args], tmp_path, env)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: malformed experiment config")
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stdout == ""
+
+
 def test_plot_skips_rows_it_cannot_place():
     from kuramem.plotting import write_capacity_svg
 

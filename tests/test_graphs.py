@@ -119,6 +119,43 @@ def test_arrays_reject_bad_dims(rows, cols):
             builder(rows, cols)
 
 
+SIZE_GRID = ([(b, (nc, m)) for b in (build_honeycomb, build_honeycomb_chain)
+              for nc in (5, 6, 7, 9) for m in (1, 2, 3, 5)]
+             + [(b, (rows, cols)) for b in (build_hex_array, build_square_array, build_tri_array)
+                for rows in (1, 2, 3, 4) for cols in (1, 2, 3, 5)])
+
+
+@pytest.mark.parametrize("builder,params", SIZE_GRID)
+def test_built_edges_are_the_basis_ring_steps(builder, params):
+    g = builder(*params)
+    steps = {(min(u, v), max(u, v))
+             for cyc in g.cycle_basis for u, v in zip(cyc, cyc[1:] + cyc[:1])}
+    assert set(g.edges) == steps
+    assert {v for e in g.edges for v in e} == set(range(1, g.n + 1))
+
+
+@pytest.mark.parametrize("builder,params,edges,basis", [
+    (build_square_array, (1, 2),
+     ((1, 2), (1, 4), (2, 3), (2, 5), (3, 6), (4, 5), (5, 6)),
+     ((1, 2, 5, 4), (2, 3, 6, 5))),
+    (build_tri_array, (1, 1),
+     ((1, 2), (1, 3), (1, 4), (2, 4), (3, 4)),
+     ((1, 2, 4), (1, 4, 3))),
+    (build_hex_array, (2, 1),
+     ((1, 2), (1, 4), (2, 3), (3, 6), (4, 5), (5, 6), (5, 8), (6, 7), (7, 10), (8, 9),
+      (9, 10)),
+     ((1, 2, 3, 6, 5, 4), (5, 6, 7, 10, 9, 8))),
+    (build_honeycomb_chain, (5, 3),
+     ((1, 2), (1, 5), (2, 3), (3, 4), (3, 6), (3, 9), (4, 5), (6, 7), (7, 8), (7, 10),
+      (7, 13), (8, 9), (10, 11), (11, 12), (12, 13)),
+     ((1, 2, 3, 4, 5), (3, 6, 7, 8, 9), (7, 10, 11, 12, 13))),
+])
+def test_builder_numbering_and_orientation(builder, params, edges, basis):
+    g = builder(*params)
+    assert g.edges == edges
+    assert g.cycle_basis == basis
+
+
 @pytest.mark.parametrize("builder,params", ALL_BUILDERS)
 def test_cyclomatic_identity_and_closed_walks(builder, params):
     g = builder(*params)
@@ -227,6 +264,10 @@ def test_json_round_trip():
     '{"n": 3, "coupling_c": -1.0, "edges": [[1, 2], [2, 3], [1, 3]], "cycle_basis": [[1, 2, 3]]}',
     '{"n": 3, "coupling_c": NaN, "edges": [[1, 2], [2, 3], [1, 3]], "cycle_basis": [[1, 2, 3]]}',
     '{"n": 3, "coupling_c": Infinity, "edges": [[1, 2], [2, 3], [1, 3]], "cycle_basis": [[1, 2, 3]]}',
+    '{"n": 3, "coupling_c": true, "edges": [[1, 2], [2, 3], [1, 3]], "cycle_basis": [[1, 2, 3]]}',
+    '{"n": 3, "coupling_c": "1.5", "edges": [[1, 2], [2, 3], [1, 3]], "cycle_basis": [[1, 2, 3]]}',
+    '{"n": 3, "coupling_c": 1%s, "edges": [[1, 2], [2, 3], [1, 3]], "cycle_basis": [[1, 2, 3]]}'
+    % ("0" * 400),
 ])
 def test_json_rejects_malformed_input(text):
     with pytest.raises(ParameterDomainError):
