@@ -175,7 +175,7 @@ def cmd_retrieve(args) -> int:
     g = _load_graph(args.graph)
     codec = _codec_for_graph(g)
     theta0 = _add_noise(store(args.pattern, codec), args)
-    bits, diag = retrieve(theta0, codec, g, dt=args.dt, t_max=args.tmax)
+    bits, diag = retrieve(theta0, codec, g, t_max=args.tmax)
     lines = [bits,
              f"t_converged: {diag.t_converged:.6g}",
              f"residual: {diag.residual:.6g}",
@@ -286,13 +286,11 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_store)
 
     p = sub.add_parser("retrieve",
-                       help="store a pattern, perturb it, relax, read it back")
+                       help="store a pattern, perturb it, relax at lock_dt, read it back")
     p.add_argument("--graph", required=True)
     p.add_argument("--pattern", required=True)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int)
-    p.add_argument("--dt", type=float,
-                   help="RK4 step (default: lock_dt = 1/(2*coupling*lambda_max(L)))")
     p.add_argument("--tmax", type=float, default=DEFAULT_T_MAX)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_retrieve)

@@ -17,9 +17,8 @@ from functools import partial
 import numpy as np
 
 from . import jsonutil
-from .dynamics import (DEFAULT_CONV_TOL, canonical_distance, canonicalize,
-                       classify_stability, energy, integrate_batch, lock_dt,
-                       rhs, wrap_angle)
+from .dynamics import (DEFAULT_CONV_TOL, canonicalize, classify_stability,
+                       energy, integrate_batch, lock_dt, rhs, wrap_angle)
 from .errors import NonIntegerWindingError, ParameterDomainError, EnumerationBudgetError
 from .graphs import Graph, graph_payload
 
@@ -27,7 +26,6 @@ TWO_PI = 2.0 * np.pi
 
 COHESIVE_MARGIN = 1e-12
 WINDING_INT_TOL = 1e-6
-MATCH_TOL = 1e-5
 AUDIT_CHUNK_ROWS = 64
 SOLVER_RETRIES = 5
 PERTURB_AMPLITUDE = 0.1
@@ -47,7 +45,6 @@ class Equilibrium:
     theta: np.ndarray                 # canonical form
     winding: tuple[int, ...]
     cohesive: bool
-    residual: float
 
 
 def max_winding(cycle_len: int) -> int:
@@ -211,8 +208,7 @@ def winding_constrained_solve(g: Graph, winding) -> Equilibrium | None:
             continue
         if tuple(winding_vector(theta, g)) != winding:
             continue
-        return Equilibrium(theta=theta, winding=winding, cohesive=True,
-                           residual=float(np.max(np.abs(rhs(theta, g)))))
+        return Equilibrium(theta=theta, winding=winding, cohesive=True)
     return None
 
 
@@ -233,16 +229,14 @@ def enumerate_exact(g: Graph, budget: int = ENUMERATION_BUDGET,
 
     Distinct cohesive equilibria carry distinct winding vectors, so the
     hits come out one per vector, in lexicographic winding order. Boxes
-    larger than the budget raise EnumerationBudgetError; use the sampling
-    estimator then.
+    larger than the budget raise EnumerationBudgetError.
     """
     if budget < 1:
         raise ParameterDomainError(f"budget must be >= 1, got {budget}")
     size = winding_box_size(g)
     if size > budget:
         raise EnumerationBudgetError(
-            f"winding box has {size} vectors, budget is {budget}; "
-            "use sample_estimate instead")
+            f"winding box has {size} vectors, budget is {budget}")
     vectors = list(itertools.product(*winding_box(g)))
     hits = _map(partial(winding_constrained_solve, g), vectors, jobs)
     return [eq for eq in hits if eq is not None]
@@ -288,9 +282,10 @@ def audit_spurious(g: Graph, known: list[Equilibrium], trials: int,
     integration work is split: into blocks of at most AUDIT_CHUNK_ROWS
     rows (a step costs less per row at that size than in one large
     batch), and at least one block per job.
-    Converged limits match a known equilibrium when the winding vectors
-    agree and the canonical distance is below MATCH_TOL; a stable limit
-    matching nothing is a spurious-memory finding.
+    A converged limit matches a known equilibrium when it is phase-cohesive
+    and carries that equilibrium's winding vector: a cohesive equilibrium
+    is unique for its winding, so no distance test is needed. Any other
+    limit is classified, and a stable one is a spurious-memory finding.
     """
     if trials < 0:
         raise ParameterDomainError(f"trials must be >= 0, got {trials}")
@@ -307,16 +302,15 @@ def audit_spurious(g: Graph, known: list[Equilibrium], trials: int,
 
     report.non_converged = trials - int(converged.sum())
     limits = finals[converged]
-    by_winding = {eq.winding: eq for eq in known}
+    known_windings = {eq.winding for eq in known}
     for theta, w in zip(limits, map(tuple, winding_vector(limits, g).tolist())):
-        eq = by_winding.get(w)
-        if eq is not None and canonical_distance(theta, eq.theta) < MATCH_TOL:
+        cohesive = is_phase_cohesive(theta, g)
+        if cohesive and w in known_windings:
             report.match_counts[w] = report.match_counts.get(w, 0) + 1
             continue
         if classify_stability(theta, g, residual_tol=10 * DEFAULT_CONV_TOL).is_stable:
-            report.unmatched_stable.append(Equilibrium(
-                theta=theta, winding=w, cohesive=is_phase_cohesive(theta, g),
-                residual=float(np.max(np.abs(rhs(theta, g))))))
+            report.unmatched_stable.append(Equilibrium(theta=theta, winding=w,
+                                                       cohesive=cohesive))
         else:
             report.unmatched_other += 1
     return report

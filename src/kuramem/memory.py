@@ -107,18 +107,17 @@ class RetrievalDiagnostics:
 
 
 def retrieve(theta0: np.ndarray, codec: PatternCodec, g: Graph,
-             dt: float | None = None, t_max: float = DEFAULT_T_MAX
-             ) -> tuple[str, RetrievalDiagnostics]:
+             t_max: float = DEFAULT_T_MAX) -> tuple[str, RetrievalDiagnostics]:
     """Relax theta0 to a phase lock and decode the pattern it landed on.
 
-    dt defaults to lock_dt(g) = 1 / (2 c lambda_max(L)), a step that lands
-    on the same lock as DEFAULT_DT at a fraction of the cost.
+    The RK4 step is lock_dt(g) = 1 / (2 c lambda_max(L)), which lands on
+    the same lock as DEFAULT_DT at a fraction of the cost.
 
     Raises RetrievalError when the dynamics fail to lock within t_max or
     the limit's winding vector falls outside the admissible range (which
     cannot happen on honeycomb topologies, but can on arbitrary inputs).
     """
-    result = integrate(theta0, g, dt=lock_dt(g) if dt is None else dt, t_max=t_max)
+    result = integrate(theta0, g, dt=lock_dt(g), t_max=t_max)
     if not result.converged:
         raise RetrievalError(f"no phase lock within t_max = {t_max}")
     theta = result.theta

@@ -72,8 +72,12 @@ def test_enumerate_outputs_nine_equilibria(tmp_path, g9):
 
 
 def test_enumerate_budget_exit_code(tmp_path, g9):
-    res = run_cli(["enumerate", "--graph", "g9.json", "--budget", "2"], tmp_path)
-    assert res.returncode == 3
+    for command in ("enumerate", "audit --trials 1"):
+        res = run_cli([*command.split(), "--graph", "g9.json", "--budget", "2"], tmp_path)
+        assert res.returncode == 3
+        assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+        assert "9 vectors" in res.stderr and "budget is 2" in res.stderr
+        assert res.stdout == ""
 
 
 def test_missing_graph_file_is_io_error(tmp_path):
@@ -254,7 +258,7 @@ RETRIEVE = ["retrieve", "--graph", "g9.json", "--pattern", "0110"]
     [*SIMULATE, "--stride", "0"], [*SIMULATE, "--stride", "-1"],
     [*SIMULATE, "--tmax", "inf"], [*SIMULATE, "--tmax", "nan"],
     [*SIMULATE, "--seed", "-1"], [*SIMULATE, "--dt", "1e-300", "--tmax", "1e10"],
-    [*SIMULATE, "--dt", "1e-300", "--tmax", "1"], [*RETRIEVE, "--dt", "1e-300"],
+    [*SIMULATE, "--dt", "1e-300", "--tmax", "1"], [*RETRIEVE, "--tmax", "1e10"],
     *[[*cmd, "--noise", v] for cmd in (SIMULATE, RETRIEVE) for v in ("inf", "nan", "-0.1")],
     [*SIMULATE, "--noise", "1e308"],
     ["enumerate", "--graph", "g9.json", "--jobs", "0"],
@@ -267,6 +271,13 @@ def test_simulate_rejects_bad_flags(tmp_path, g9, flags):
     assert res.returncode == 2
     assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
     assert res.stdout == ""
+
+
+def test_retrieve_takes_no_step_flag(tmp_path, g9):
+    # retrieve always relaxes at lock_dt(g)
+    res = run_cli([*RETRIEVE, "--dt", "0.01"], tmp_path)
+    assert res.returncode == 2
+    assert "unrecognized arguments: --dt 0.01" in res.stderr and res.stdout == ""
 
 
 @pytest.mark.parametrize("args,content", [

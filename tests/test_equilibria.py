@@ -154,7 +154,7 @@ def test_solve_zero_winding_gives_synchrony():
     assert eq.winding == (0, 0)
     assert canonical_distance(eq.theta, np.zeros(9)) < 1e-9
     assert classify_stability(eq.theta, g).kind == "stable"
-    assert eq.residual < 1e-9
+    assert np.max(np.abs(rhs(eq.theta, g))) < 1e-9
 
 
 def test_solve_out_of_bound_winding_is_absent():
@@ -274,6 +274,27 @@ def test_audit_flags_unknown_stable_limits():
     assert len(report.unmatched_stable) > 0
     windings = {eq.winding for eq in report.unmatched_stable}
     assert windings <= {(-1,), (1,)}
+
+
+def test_audit_does_not_match_a_non_cohesive_limit_by_winding(monkeypatch):
+    # four edges at pi/3 and one at 2*pi/3: an unstable equilibrium that
+    # carries the known winding (1,) without being the cohesive splay state
+    g = build_honeycomb(5, 1)
+    theta = -np.arange(5) * np.pi / 3
+    assert np.max(np.abs(rhs(theta, g))) < 1e-12
+    assert tuple(winding_vector(theta, g)) == (1,)
+    assert not is_phase_cohesive(theta, g)
+    assert not classify_stability(theta, g).is_stable
+
+    def limits(states, *args, **kwargs):
+        rows = len(states)
+        return np.tile(theta, (rows, 1)), np.ones(rows, dtype=bool), np.zeros(rows), None
+
+    monkeypatch.setattr(equilibria, "integrate_batch", limits)
+    report = audit_spurious(g, enumerate_exact(g), trials=2, seed=0)
+    assert report.matched == 0
+    assert report.unmatched_other == 2
+    assert report.unmatched_stable == []
 
 
 def test_audit_parallel_matches_serial():
