@@ -21,8 +21,9 @@ from .errors import (EnumerationBudgetError, IntegrationBlowUpError,
 from .graphs import (Graph, build_hex_array, build_honeycomb,
                      build_honeycomb_chain, build_square_array,
                      build_tri_array, degrees, graph_from_json, graph_to_json)
-from .memory import (PatternCodec, RetrievalDiagnostics, capacity, decode,
-                     encode, num_patterns, retrieve, store)
+from .memory import (PatternCodec, RetrievalDiagnostics, capacity,
+                     codec_for_graph, decode, encode, num_patterns, retrieve,
+                     store)
 
 __version__ = "0.1.0"
 
@@ -33,7 +34,7 @@ __all__ = [
     "audit_spurious", "build_hex_array", "build_honeycomb",
     "build_honeycomb_chain", "build_square_array", "build_topology",
     "build_tri_array", "canonical_distance", "canonicalize", "capacity",
-    "classify_stability", "construct_config", "count_exact",
+    "classify_stability", "codec_for_graph", "construct_config", "count_exact",
     "decode", "degrees", "encode", "energy",
     "enumerate_exact", "graph_from_json", "graph_to_json", "integrate",
     "is_phase_cohesive", "jacobian", "lock_dt", "max_winding", "num_patterns",

@@ -108,17 +108,14 @@ BUILDERS = {
     "honeycomb": (build_honeycomb, ("nc", "m")),
     "honeycomb_chain": (build_honeycomb_chain, ("nc", "m")),
     "hex": (build_hex_array, ("rows", "cols")),
-    "hex_array": (build_hex_array, ("rows", "cols")),
     "square": (build_square_array, ("rows", "cols")),
-    "square_array": (build_square_array, ("rows", "cols")),
     "tri": (build_tri_array, ("rows", "cols")),
-    "tri_array": (build_tri_array, ("rows", "cols")),
 }
 
 
 def build_topology(kind: str, p1: int, p2: int, coupling: float = 1.0) -> Graph:
-    """Dispatch a builder by name, with the two parameters BUILDERS names
-    for it. Array kinds accept both short and _array names."""
+    """Dispatch a builder by its one name in BUILDERS, with the two
+    parameters BUILDERS names for it."""
     try:
         builder, _ = BUILDERS[kind]
     except KeyError:

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Every subcommand is deterministic given its flags and seed; randomized
-commands take --seed, which falls back to the KURAMEM_SEED environment
-variable and then to 0. Exit codes: 1 I/O failure, 2 parameter domain
+`build` is the only subcommand that takes topology flags; every other
+one reads the graph file that `build` writes. Every subcommand is
+deterministic given its flags and seed; randomized commands take --seed,
+which falls back to the KURAMEM_SEED environment variable and then to 0. Exit codes: 1 I/O failure, 2 parameter domain
 error, 3 enumeration budget exceeded, 4 `audit` found a stable spurious
 memory.
 """
@@ -24,8 +25,8 @@ from .equilibria import (ENUMERATION_BUDGET, audit_spurious, enumerate_exact,
                          equilibria_to_json)
 from .errors import (EnumerationBudgetError, IntegrationBlowUpError,
                      ParameterDomainError, RetrievalError)
-from .graphs import Graph, build_honeycomb, graph_from_json, graph_to_json
-from .memory import PatternCodec, decode, retrieve, store
+from .graphs import Graph, graph_from_json, graph_to_json
+from .memory import codec_for_graph, decode, retrieve, store
 from .plotting import write_capacity_svg
 
 SEED_ENV = "KURAMEM_SEED"
@@ -63,17 +64,6 @@ def _write_output(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _graph_from_args(args) -> Graph:
-    if args.graph:
-        for flag in ("topology", "nc", "m", "rows", "cols", "coupling"):
-            if getattr(args, flag) is not None:
-                raise ParameterDomainError(f"--graph cannot be combined with --{flag}")
-        return _load_graph(args.graph)
-    if not args.topology:
-        raise ParameterDomainError("provide --graph FILE or --topology flags")
-    return _build_from_args(args)
-
-
 def _topology_params(args) -> tuple[int, int]:
     """The --topology parameters that BUILDERS names, e.g. (nc, m)."""
     names = BUILDERS[args.topology][1]
@@ -86,18 +76,14 @@ def _topology_params(args) -> tuple[int, int]:
     return params
 
 
-def _build_from_args(args) -> Graph:
-    coupling = 1.0 if args.coupling is None else args.coupling
-    return build_topology(args.topology, *_topology_params(args), coupling)
-
-
-def _add_topology_flags(p: argparse.ArgumentParser, required: bool = False) -> None:
-    p.add_argument("--topology", required=required, choices=list(BUILDERS))
+def _add_topology_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--topology", required=True, choices=list(BUILDERS))
     p.add_argument("--nc", type=int, help="cycle size for honeycomb topologies")
     p.add_argument("--m", type=int, help="cycle count for honeycomb topologies")
     p.add_argument("--rows", type=int, help="cell rows for array topologies")
     p.add_argument("--cols", type=int, help="cell columns for array topologies")
-    p.add_argument("--coupling", type=float, help="uniform edge weight (default 1.0)")
+    p.add_argument("--coupling", type=float, default=1.0,
+                   help="uniform edge weight (default 1.0)")
 
 
 def _add_noise(theta0: np.ndarray, args) -> np.ndarray:
@@ -111,19 +97,8 @@ def _add_noise(theta0: np.ndarray, args) -> np.ndarray:
     return theta0 + rng.uniform(-args.noise, args.noise, len(theta0))
 
 
-def _codec_for_graph(g: Graph) -> PatternCodec:
-    """The codec of g's basis cycles; g must be the honeycomb `build`
-    writes for it (node count first, so no large one gets built)."""
-    m = len(g.cycle_basis)
-    nc = len(g.cycle_basis[0]) if m else 0
-    codec = PatternCodec(nc, m)
-    if g.n != m * (nc - 1) + 1 or g != build_honeycomb(nc, m, g.coupling):
-        raise ParameterDomainError(f"graph is not the honeycomb with nc {nc}, m {m}")
-    return codec
-
-
 def cmd_build(args) -> int:
-    g = _build_from_args(args)
+    g = build_topology(args.topology, *_topology_params(args), args.coupling)
     _write_output(graph_to_json(g), args.output)
     return 0
 
@@ -136,10 +111,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_capacity(args) -> int:
-    if args.exact and args.sample is not None:
-        raise ParameterDomainError("--exact and --sample are mutually exclusive")
-    g = _graph_from_args(args)
-    param1, param2 = _topology_params(args) if args.topology else (0, 0)
+    g = _load_graph(args.graph)
     start = time.perf_counter()
     if args.sample is not None:
         est = sample_estimate(g, args.sample, _resolve_seed(args.seed), args.jobs)
@@ -148,7 +120,7 @@ def cmd_capacity(args) -> int:
         est = count_exact(g, jobs=args.jobs)
         mode = "exact"
     row = {
-        "topology": args.topology or "file", "param1": param1, "param2": param2,
+        "topology": "file", "param1": 0, "param2": 0,
         "n_nodes": g.n, "mode": mode, "count": est.count,
         "ci_low": est.ci_low, "ci_high": est.ci_high,
         "samples": est.samples, "seed": est.seed,
@@ -160,7 +132,7 @@ def cmd_capacity(args) -> int:
 
 def cmd_store(args) -> int:
     g = _load_graph(args.graph)
-    codec = _codec_for_graph(g)
+    codec = codec_for_graph(g)
     theta = store(args.pattern, codec)
     payload = {
         "pattern": args.pattern,
@@ -173,7 +145,7 @@ def cmd_store(args) -> int:
 
 def cmd_retrieve(args) -> int:
     g = _load_graph(args.graph)
-    codec = _codec_for_graph(g)
+    codec = codec_for_graph(g)
     theta0 = _add_noise(store(args.pattern, codec), args)
     bits, diag = retrieve(theta0, codec, g, t_max=args.tmax)
     lines = [bits,
@@ -257,7 +229,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="construct a topology and write its JSON")
-    _add_topology_flags(p, required=True)
+    _add_topology_flags(p)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_build)
 
@@ -269,11 +241,9 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("capacity", help="count stable configurations (CSV row)")
-    p.add_argument("--graph")
-    _add_topology_flags(p)
-    p.add_argument("--exact", action="store_true", default=False)
+    p.add_argument("--graph", required=True)
     p.add_argument("--sample", type=int, metavar="N",
-                   help="estimate from N sampled winding vectors")
+                   help="estimate from N sampled winding vectors (default: exact count)")
     p.add_argument("--seed", type=int)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--output")

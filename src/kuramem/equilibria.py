@@ -26,7 +26,7 @@ TWO_PI = 2.0 * np.pi
 
 COHESIVE_MARGIN = 1e-12
 WINDING_INT_TOL = 1e-6
-AUDIT_CHUNK_ROWS = 64
+AUDIT_CHUNK_ROWS = 256
 SOLVER_RETRIES = 5
 PERTURB_AMPLITUDE = 0.1
 ENUMERATION_BUDGET = 10_000_000
@@ -280,8 +280,8 @@ def audit_spurious(g: Graph, known: list[Equilibrium], trials: int,
     Initial states are drawn once, up front, from the seeded generator
     and relax at lock_dt(g). Results are identical however the
     integration work is split: into blocks of at most AUDIT_CHUNK_ROWS
-    rows (a step costs less per row at that size than in one large
-    batch), and at least one block per job.
+    rows (which bounds the RK4 working set, about (10n + 6E)*8 bytes a
+    row), and at least one block per job.
     A converged limit matches a known equilibrium when it is phase-cohesive
     and carries that equilibrium's winding vector: a cohesive equilibrium
     is unique for its winding, so no distance test is needed. Any other

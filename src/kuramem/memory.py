@@ -17,7 +17,7 @@ import numpy as np
 from .dynamics import DEFAULT_T_MAX, integrate, lock_dt, rhs
 from .equilibria import construct_config, is_phase_cohesive, max_winding, winding_vector
 from .errors import ParameterDomainError, RetrievalError
-from .graphs import Graph, _check_honeycomb_params
+from .graphs import Graph, _check_honeycomb_params, build_honeycomb
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,19 @@ class PatternCodec:
     def bit_width(self) -> int:
         """Bits needed so the largest index fits: ceil(log2(n_patterns+1))."""
         return math.ceil(math.log2(self.n_patterns + 1))
+
+
+def codec_for_graph(g: Graph) -> PatternCodec:
+    """The codec of g's basis cycles: nc is their size, m their count.
+    g must equal build_honeycomb(nc, m, g.coupling).
+    Basis cycles are walks and may repeat nodes, so the node count is
+    checked first: no honeycomb larger than g itself gets built."""
+    m = len(g.cycle_basis)
+    nc = len(g.cycle_basis[0]) if m else 0
+    codec = PatternCodec(nc, m)
+    if g.n != m * (nc - 1) + 1 or g != build_honeycomb(nc, m, g.coupling):
+        raise ParameterDomainError(f"graph is not the honeycomb with nc {nc}, m {m}")
+    return codec
 
 
 def num_patterns(cycle_size: int, cycles: int) -> int:
@@ -113,10 +126,13 @@ def retrieve(theta0: np.ndarray, codec: PatternCodec, g: Graph,
     The RK4 step is lock_dt(g) = 1 / (2 c lambda_max(L)), which lands on
     the same lock as DEFAULT_DT at a fraction of the cost.
 
-    Raises RetrievalError when the dynamics fail to lock within t_max or
-    the limit's winding vector falls outside the admissible range (which
-    cannot happen on honeycomb topologies, but can on arbitrary inputs).
+    Raises ParameterDomainError when g is not the honeycomb of codec, and
+    RetrievalError when the dynamics fail to lock within t_max or the
+    limit's winding vector falls outside the codec's admissible range.
     """
+    graph_codec = codec_for_graph(g)
+    if codec != graph_codec:
+        raise ParameterDomainError(f"{codec} does not match the graph's {graph_codec}")
     result = integrate(theta0, g, dt=lock_dt(g), t_max=t_max)
     if not result.converged:
         raise RetrievalError(f"no phase lock within t_max = {t_max}")

@@ -87,8 +87,9 @@ def test_sample_estimate_deterministic_per_seed():
 def test_build_topology_dispatch():
     assert build_topology("honeycomb", 5, 2).n == 9
     assert build_topology("hex", 1, 1).n == 6
-    with pytest.raises(ParameterDomainError):
-        build_topology("moebius", 1, 1)
+    for kind in ("moebius", "hex_array"):   # each kind has one name
+        with pytest.raises(ParameterDomainError):
+            build_topology(kind, 1, 1)
 
 
 EXPERIMENT_CONFIG = {

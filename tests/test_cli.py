@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ CLI = [sys.executable, "-m", "kuramem"]
 # The checkout's own package: the child runs in tmp_path, where a relative
 # PYTHONPATH entry such as "src" would no longer resolve.
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args, cwd, env_extra=None):
@@ -30,6 +32,24 @@ def g9(tmp_path):
                    "-o", "g9.json"], tmp_path)
     assert res.returncode == 0, res.stderr
     return tmp_path / "g9.json"
+
+
+def _readme_blocks(lang):
+    """The ```lang code blocks of README's "Command line" section."""
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n")[1]
+    section = section.split("\n## ")[0]
+    return [b.split("\n", 1)[1] for b in section.split("```")[1::2]
+            if b.startswith(lang + "\n")]
+
+
+def test_readme_command_line_runs_as_written(tmp_path):
+    (commands,), (config,) = _readme_blocks("bash"), _readme_blocks("json")
+    (tmp_path / "experiment.json").write_text(config)
+    lines = [line for line in commands.splitlines() if line.startswith("kuramem ")]
+    assert len(lines) == 11
+    for line in lines:
+        res = run_cli(shlex.split(line)[1:], tmp_path)
+        assert res.returncode == 0, (line, res.stderr)
 
 
 def test_build_writes_valid_graph(tmp_path, g9):
@@ -87,13 +107,14 @@ def test_missing_graph_file_is_io_error(tmp_path):
 
 
 def test_capacity_exact_honeycomb(tmp_path):
-    res = run_cli(["capacity", "--topology", "honeycomb", "--nc", "5",
-                   "--m", "3", "--exact"], tmp_path)
+    build = run_cli(["build", "--topology", "honeycomb", "--nc", "5", "--m", "3",
+                     "-o", "g13.json"], tmp_path)
+    assert build.returncode == 0, build.stderr
+    res = run_cli(["capacity", "--graph", "g13.json"], tmp_path)
     assert res.returncode == 0, res.stderr
     header, row = res.stdout.strip().split("\n")
     assert header.startswith("topology,")
-    cells = row.split(",")
-    assert cells[0] == "honeycomb" and cells[5] == "27"
+    assert row.split(",")[:6] == ["file", "0", "0", "13", "exact", "27"]
 
 
 def test_capacity_sampled_from_graph_file(tmp_path, g9):
@@ -110,8 +131,10 @@ def _without_wall_ms(csv_text):
 
 
 def test_capacity_sample_jobs_match_serial(tmp_path):
-    args = ["capacity", "--topology", "hex", "--rows", "3", "--cols", "3",
-            "--sample", "30", "--seed", "5"]
+    build = run_cli(["build", "--topology", "hex", "--rows", "3", "--cols", "3",
+                     "-o", "hex33.json"], tmp_path)
+    assert build.returncode == 0, build.stderr
+    args = ["capacity", "--graph", "hex33.json", "--sample", "30", "--seed", "5"]
     serial = run_cli([*args, "--jobs", "1"], tmp_path)
     parallel = run_cli([*args, "--jobs", "2"], tmp_path)
     assert serial.returncode == parallel.returncode == 0, parallel.stderr
@@ -133,17 +156,18 @@ def test_experiment_sampled_row_jobs_match_serial(tmp_path):
 
 @pytest.mark.parametrize("flags", [
     ["--topology", "hex"], ["--nc", "5"], ["--m", "2"], ["--rows", "2"],
-    ["--cols", "2"], ["--coupling", "3"], ["--coupling", "1"],
+    ["--cols", "2"], ["--coupling", "3"], ["--coupling", "1"], ["--exact"],
 ])
 def test_capacity_graph_file_rejects_topology_flags(tmp_path, g9, flags):
-    res = run_cli(["capacity", "--graph", "g9.json", "--exact", *flags], tmp_path)
+    # only `build` takes topology flags; capacity counts exactly unless --sample
+    res = run_cli(["capacity", "--graph", "g9.json", *flags], tmp_path)
     assert res.returncode == 2
-    assert flags[0] in res.stderr and res.stdout == ""
+    assert f"unrecognized arguments: {' '.join(flags)}" in res.stderr
+    assert res.stdout == ""
 
 
 @pytest.mark.parametrize("args", [
-    ["capacity", "--topology", "hex", "--rows", "1", "--cols", "1", "--nc", "5",
-     "--m", "7", "--exact"],
+    ["build", "--topology", "hex", "--rows", "1", "--cols", "1", "--nc", "5", "--m", "7"],
     ["build", "--topology", "honeycomb", "--nc", "5", "--m", "1", "--rows", "9",
      "--cols", "9"],
 ])
@@ -154,7 +178,7 @@ def test_topology_rejects_the_other_family_flags(tmp_path, args):
 
 
 def test_capacity_times_the_count(tmp_path, g9):
-    res = run_cli(["capacity", "--graph", "g9.json", "--exact"], tmp_path)
+    res = run_cli(["capacity", "--graph", "g9.json"], tmp_path)
     assert res.returncode == 0, res.stderr
     header, row = res.stdout.strip().split("\n")
     assert header.endswith(",wall_ms")
@@ -308,14 +332,14 @@ def test_retrieve_takes_no_step_flag(tmp_path, g9):
       for fields in [(b"5", b"true, 2"), (b"5", b"1, 2.9"), (b"5.7", b"1, 2")]],
     # a one-node graph
     *[(args, b'{"n": 1, "coupling_c": 1.0, "edges": [], "cycle_basis": []}') for args in [
-        ["enumerate", "--graph"], ["capacity", "--exact", "--graph"],
+        ["enumerate", "--graph"], ["capacity", "--graph"],
         ["capacity", "--sample", "5", "--graph"], ["audit", "--trials", "3", "--graph"],
         ["simulate", "--tmax", "1", "--graph"]]],
     # hex 1x2 with its first hexagon listed twice: |E|-n+1 cycles, all edges, no basis
     *[(args, b'{"n": 10, "coupling_c": 1.0, "edges": [[1, 2], [1, 6], [2, 3], [3, 4], [3, 8], '
        b'[4, 5], [5, 10], [6, 7], [7, 8], [8, 9], [9, 10]], '
        b'"cycle_basis": [[1, 2, 3, 8, 7, 6], [1, 2, 3, 8, 7, 6]]}')
-      for args in [["capacity", "--exact", "--graph"], ["enumerate", "--graph"]]],
+      for args in [["capacity", "--graph"], ["enumerate", "--graph"]]],
 ])
 def test_malformed_input_file_exits_2(tmp_path, g9, args, content):
     (tmp_path / "input").write_bytes(content)
@@ -359,7 +383,7 @@ def test_build_enumerate_capacity_round_trip(tmp_path, g9):
     enum = run_cli(["enumerate", "--graph", "g9.json", "-o", "eq.json"], tmp_path)
     assert enum.returncode == 0
     n_eq = len(json.loads((tmp_path / "eq.json").read_text())["equilibria"])
-    cap = run_cli(["capacity", "--graph", "g9.json", "--exact"], tmp_path)
+    cap = run_cli(["capacity", "--graph", "g9.json"], tmp_path)
     count = float(cap.stdout.strip().split("\n")[1].split(",")[5])
     assert n_eq == count == num_patterns(5, 2) == 9
 

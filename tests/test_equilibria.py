@@ -190,6 +190,14 @@ def test_solve_needs_the_perturbed_retries(monkeypatch):
     assert [winding_constrained_solve(g, w) for w in windings] == [None, None]
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "descent and its retries miss this stable, cohesive hex 3x3 equilibrium; "
+    "ROADMAP item 2's loop-flow Newton solve finds it in 7 iterations"))
+def test_solve_finds_the_hex_3x3_equilibrium_descent_misses():
+    g = build_hex_array(3, 3)
+    assert winding_constrained_solve(g, (1, 0, 0, 0, 0, -1, 1, 0, -1)) is not None
+
+
 def test_enumerate_pentagon():
     g = build_honeycomb(5, 1)
     eqs = enumerate_exact(g)
@@ -316,14 +324,14 @@ def test_audit_chunked_matches_one_batch(monkeypatch):
         return integrate_batch(states, *args, **kwargs)
 
     monkeypatch.setattr(equilibria, "integrate_batch", spy)
-    chunked = audit_spurious(g, known, trials=70, seed=4)
-    assert batch_rows == [35, 35]
-    monkeypatch.setattr(equilibria, "AUDIT_CHUNK_ROWS", 70)
-    whole = audit_spurious(g, known, trials=70, seed=4)
-    assert batch_rows == [35, 35, 70]
+    chunked = audit_spurious(g, known, trials=300, seed=4)
+    assert batch_rows == [150, 150]
+    monkeypatch.setattr(equilibria, "AUDIT_CHUNK_ROWS", 300)
+    whole = audit_spurious(g, known, trials=300, seed=4)
+    assert batch_rows == [150, 150, 300]
     assert chunked.summary_lines() == whole.summary_lines()
     assert chunked.match_counts == whole.match_counts
-    assert chunked.matched == 70
+    assert chunked.matched == 300
 
 
 @pytest.mark.parametrize("params,trials", [((5, 2), 200), ((9, 3), 64)])

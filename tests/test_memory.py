@@ -1,12 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kuramem import (ParameterDomainError, PatternCodec, RetrievalError,
-                     build_honeycomb, capacity, construct_config, decode,
-                     encode, integrate, num_patterns, retrieve, store,
+                     build_honeycomb, build_honeycomb_chain, capacity,
+                     codec_for_graph, construct_config, decode, encode,
+                     graph_from_json, integrate, num_patterns, retrieve, store,
                      winding_vector, wrap_angle)
+from kuramem import memory
 from kuramem.dynamics import DEFAULT_DT
 
 # frozen reference mapping for two pentagonal rings:
@@ -164,3 +168,27 @@ def test_retrieve_raises_on_no_convergence(codec52):
     rng = np.random.default_rng(77)
     with pytest.raises(RetrievalError):
         retrieve(rng.uniform(-np.pi, np.pi, g.n), codec52, g, t_max=0.02)
+
+
+def test_retrieve_refuses_a_codec_that_is_not_the_graphs():
+    # a (9,2) codec on the (5,2) network once decoded a (9,2) pattern, '00111'
+    g = build_honeycomb(5, 2)
+    with pytest.raises(ParameterDomainError, match="does not match"):
+        retrieve(store("0001", PatternCodec(5, 2)), PatternCodec(9, 2), g)
+
+
+def test_codec_for_graph_reads_the_honeycomb_only():
+    assert codec_for_graph(build_honeycomb(5, 3, 1.5)) == PatternCodec(5, 3)
+    with pytest.raises(ParameterDomainError, match="not the honeycomb"):
+        codec_for_graph(build_honeycomb_chain(5, 2))
+
+
+def test_codec_for_graph_builds_no_honeycomb_larger_than_the_graph(monkeypatch):
+    # basis cycles are walks: a triangle's file can list a 10,001-step one
+    walk = [1, 2] * 4999 + [1, 2, 3]
+    g = graph_from_json(json.dumps({"n": 3, "coupling_c": 1.0, "cycle_basis": [walk],
+                                    "edges": [[1, 2], [1, 3], [2, 3]]}))
+    monkeypatch.setattr(memory, "build_honeycomb",
+                        lambda *args: pytest.fail("built a honeycomb"))
+    with pytest.raises(ParameterDomainError, match="nc 10001, m 1"):
+        codec_for_graph(g)
