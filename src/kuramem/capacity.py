@@ -15,9 +15,9 @@ from functools import partial
 
 import numpy as np
 
-from .equilibria import (_map, enumerate_exact, winding_box, winding_box_size,
-                         winding_constrained_solve)
-from .errors import KuramemError, ParameterDomainError
+from .equilibria import (ENUMERATION_BUDGET, _map, enumerate_exact, winding_box,
+                         winding_box_size, winding_constrained_solve)
+from .errors import ParameterDomainError
 from .graphs import (Graph, build_hex_array, build_honeycomb,
                      build_honeycomb_chain, build_square_array, build_tri_array)
 from .jsonutil import integer
@@ -126,6 +126,20 @@ def build_topology(kind: str, p1: int, p2: int, coupling: float = 1.0) -> Graph:
 
 RESULT_FIELDS = ("topology", "param1", "param2", "n_nodes", "mode", "count",
                  "ci_low", "ci_high", "samples", "seed", "wall_ms")
+CONFIG_KEYS = {"seed", "samples", "exact_threshold", "families"}
+
+
+def count_row(kind: str, p1: int, p2: int, g: Graph, samples: int | None,
+              seed: int, jobs: int = 1) -> dict:
+    """The results-CSV row of g, labelled (kind, p1, p2): an exact count
+    when samples is None, else an estimate from that many draws at seed.
+    wall_ms times the count alone."""
+    start = time.perf_counter()
+    est = count_exact(g, jobs) if samples is None else sample_estimate(g, samples, seed, jobs)
+    return {"topology": kind, "param1": p1, "param2": p2, "n_nodes": g.n,
+            "mode": "exact" if samples is None else "sample", "count": est.count,
+            "ci_low": est.ci_low, "ci_high": est.ci_high, "samples": est.samples,
+            "seed": seed, "wall_ms": format(1000.0 * (time.perf_counter() - start), ".3f")}
 
 
 def _family_rows(family: dict) -> list[tuple[str, int, int]]:
@@ -148,11 +162,14 @@ def run_experiment(config: dict, jobs: int = 1) -> list[dict]:
     list of {"topology": ..., "nc": ..., "m_values": [...]} for honeycomb
     kinds or {"topology": ..., "sizes": [[r, c], ...]} for arrays. Rows
     whose winding box is at most exact_threshold are enumerated exactly,
-    the rest sampled. A row that fails with a KuramemError is recorded as
-    an `error` row and the sweep goes on; any other exception is a bug
-    and propagates.
+    the rest sampled, each by count_row. The whole sweep is checked before
+    the first count: a malformed or unknown key, an exact_threshold above
+    ENUMERATION_BUDGET or a family its builder refuses raises
+    ParameterDomainError. Any error raised while counting propagates.
     """
     try:
+        if not set(config) <= CONFIG_KEYS:
+            raise ParameterDomainError(f"keys must be among {sorted(CONFIG_KEYS)}")
         base_seed = integer(config.get("seed", 0), "seed")
         samples = integer(config.get("samples", DEFAULT_SAMPLES), "samples")
         threshold = integer(config.get("exact_threshold", EXACT_THRESHOLD), "exact_threshold")
@@ -163,40 +180,19 @@ def run_experiment(config: dict, jobs: int = 1) -> list[dict]:
         raise ParameterDomainError(f"experiment seed must be >= 0, got {base_seed}")
     if samples < 1:
         raise ParameterDomainError(f"experiment samples must be >= 1, got {samples}")
-
-    out = []
-    for index, (kind, p1, p2) in enumerate(rows):
-        row_seed = int(np.random.SeedSequence((base_seed, index)).generate_state(1)[0])
-        start = time.perf_counter()
-        record = {"topology": kind, "param1": p1, "param2": p2,
-                  "seed": row_seed, "samples": 0}
-        try:
-            g = build_topology(kind, p1, p2)
-            record["n_nodes"] = g.n
-            if winding_box_size(g) <= threshold:
-                est = count_exact(g, jobs=jobs)
-                record["mode"] = "exact"
-            else:
-                est = sample_estimate(g, samples, seed=row_seed, jobs=jobs)
-                record["mode"] = "sample"
-                record["samples"] = samples
-            record.update(count=est.count, ci_low=est.ci_low, ci_high=est.ci_high)
-        except KuramemError as exc:  # keep sweeping, report the failure in-row
-            record.update(n_nodes=record.get("n_nodes", 0), mode="error",
-                          count="", ci_low="", ci_high="", error=str(exc))
-        record["wall_ms"] = format(1000.0 * (time.perf_counter() - start), ".3f")
-        out.append(record)
-    return out
+    if threshold > ENUMERATION_BUDGET:
+        raise ParameterDomainError(
+            f"experiment exact_threshold must be <= {ENUMERATION_BUDGET}, got {threshold}")
+    graphs = [build_topology(*row) for row in rows]
+    return [count_row(*row, g, None if winding_box_size(g) <= threshold else samples,
+                      int(np.random.SeedSequence((base_seed, i)).generate_state(1)[0]), jobs)
+            for i, (row, g) in enumerate(zip(rows, graphs))]
 
 
 def results_to_csv(rows: list[dict]) -> str:
+    """The header and one line per count_row row; floats get 17 significant digits."""
     lines = [",".join(RESULT_FIELDS)]
     for row in rows:
-        lines.append(",".join(_csv_cell(row.get(f, "")) for f in RESULT_FIELDS))
+        cells = (row[f] for f in RESULT_FIELDS)
+        lines.append(",".join(format(c, ".17g") if isinstance(c, float) else str(c) for c in cells))
     return "\n".join(lines) + "\n"
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)

@@ -13,13 +13,12 @@ import argparse
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
 from . import jsonutil
-from .capacity import (BUILDERS, build_topology, count_exact, results_to_csv,
-                       run_experiment, sample_estimate)
+from .capacity import (BUILDERS, build_topology, count_row, results_to_csv,
+                       run_experiment)
 from .dynamics import DEFAULT_CONV_TOL, DEFAULT_DT, DEFAULT_T_MAX, integrate
 from .equilibria import (ENUMERATION_BUDGET, audit_spurious, enumerate_exact,
                          equilibria_to_json)
@@ -112,20 +111,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_capacity(args) -> int:
     g = _load_graph(args.graph)
-    start = time.perf_counter()
-    if args.sample is not None:
-        est = sample_estimate(g, args.sample, _resolve_seed(args.seed), args.jobs)
-        mode = "sample"
-    else:
-        est = count_exact(g, jobs=args.jobs)
-        mode = "exact"
-    row = {
-        "topology": "file", "param1": 0, "param2": 0,
-        "n_nodes": g.n, "mode": mode, "count": est.count,
-        "ci_low": est.ci_low, "ci_high": est.ci_high,
-        "samples": est.samples, "seed": est.seed,
-        "wall_ms": format(1000.0 * (time.perf_counter() - start), ".3f"),
-    }
+    seed = 0 if args.sample is None else _resolve_seed(args.seed)
+    row = count_row("file", 0, 0, g, args.sample, seed, args.jobs)
     _write_output(results_to_csv([row]), args.output)
     return 0
 
@@ -167,14 +154,12 @@ def cmd_simulate(args) -> int:
         try:
             payload = json.loads(_read_text(args.init))
             values = payload["theta"] if isinstance(payload, dict) else payload
-            theta0 = np.asarray([float(x) for x in values])
+            theta0 = np.asarray([jsonutil.number(x, "state entry") for x in values])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParameterDomainError(f"malformed state {args.init}: {exc}") from exc
         if len(theta0) != g.n:
             raise ParameterDomainError(
                 f"initial state has {len(theta0)} entries, graph has {g.n}")
-        if not np.all(np.isfinite(theta0)):
-            raise ParameterDomainError(f"non-finite entry in state {args.init}")
     theta0 = _add_noise(theta0, args)
     result = integrate(theta0, g, dt=args.dt, t_max=args.tmax,
                        conv_tol=args.conv_tol, record_stride=args.stride)

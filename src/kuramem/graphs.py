@@ -14,10 +14,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterDomainError
-from .jsonutil import dumps, integer
+from .jsonutil import dumps, integer, number
 
 Edge = tuple[int, int]
 Cycle = tuple[int, ...]
+MIN_CYCLE_SIZE = 5   # smallest honeycomb ring
 
 
 @dataclass(frozen=True)
@@ -145,9 +146,9 @@ def _planar_graph(faces: list[tuple[tuple[int, int], ...]], coupling: float) -> 
 
 
 def _check_honeycomb_params(cycle_size: int, cycles: int) -> None:
-    if cycle_size < 5:
+    if cycle_size < MIN_CYCLE_SIZE:
         raise ParameterDomainError(
-            f"honeycomb cycle size must be >= 5, got {cycle_size}")
+            f"honeycomb cycle size must be >= {MIN_CYCLE_SIZE}, got {cycle_size}")
     if cycles < 1:
         raise ParameterDomainError(
             f"honeycomb cycle count must be >= 1, got {cycles}")
@@ -240,12 +241,9 @@ def graph_from_json(text: str) -> Graph:
     try:
         payload = json.loads(text)
         n = integer(payload["n"], "n")
-        coupling = payload["coupling_c"]
-        if type(coupling) not in (int, float):
-            raise TypeError(f"coupling_c must be a number, got {coupling!r}")
-        coupling = float(coupling)   # an int too large for a float overflows
+        coupling = number(payload["coupling_c"], "coupling_c")
         edges = [(integer(a, "edge end"), integer(b, "edge end")) for a, b in payload["edges"]]
         cycles = [tuple(integer(v, "cycle node") for v in c) for c in payload["cycle_basis"]]
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:   # JSONDecodeError too
+    except (KeyError, TypeError, ValueError) as exc:   # JSONDecodeError too
         raise ParameterDomainError(f"malformed graph JSON: {exc}") from exc
     return _validated_graph(n, edges, cycles, coupling)

@@ -1,10 +1,12 @@
-"""Deterministic JSON emission, and integer reading for parsed input.
+"""Deterministic JSON emission, and integer and number reading for parsed input.
 
 The stdlib encoder prints floats with shortest round-trip repr; artifact
 files instead carry every float with 17 significant digits so that output
 bytes are stable across platforms and numpy versions.
 """
 from __future__ import annotations
+
+import sys
 
 from .errors import ParameterDomainError
 
@@ -14,6 +16,14 @@ def integer(value, what: str) -> int:
     if type(value) is int or isinstance(value, float) and value.is_integer():
         return int(value)
     raise ParameterDomainError(f"{what} must be an integer, got {value!r}")
+
+
+def number(value, what: str) -> float:
+    """A JSON int or float that is a finite float, as a float, else
+    ParameterDomainError (true, "1.5", NaN and 1e400 are not)."""
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ParameterDomainError(f"{what} must be a finite number, got {value!r}")
 
 
 def _fmt(value, indent: int, level: int) -> str:

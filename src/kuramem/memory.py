@@ -17,7 +17,7 @@ import numpy as np
 from .dynamics import DEFAULT_T_MAX, integrate, lock_dt, rhs
 from .equilibria import construct_config, is_phase_cohesive, max_winding, winding_vector
 from .errors import ParameterDomainError, RetrievalError
-from .graphs import Graph, _check_honeycomb_params, build_honeycomb
+from .graphs import MIN_CYCLE_SIZE, Graph, _check_honeycomb_params, build_honeycomb
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,10 @@ def codec_for_graph(g: Graph) -> PatternCodec:
     checked first: no honeycomb larger than g itself gets built."""
     m = len(g.cycle_basis)
     nc = len(g.cycle_basis[0]) if m else 0
-    codec = PatternCodec(nc, m)
-    if g.n != m * (nc - 1) + 1 or g != build_honeycomb(nc, m, g.coupling):
+    if (nc < MIN_CYCLE_SIZE or g.n != m * (nc - 1) + 1
+            or g != build_honeycomb(nc, m, g.coupling)):
         raise ParameterDomainError(f"graph is not the honeycomb with nc {nc}, m {m}")
-    return codec
+    return PatternCodec(nc, m)
 
 
 def num_patterns(cycle_size: int, cycles: int) -> int:

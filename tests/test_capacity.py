@@ -3,11 +3,13 @@ import importlib
 import numpy as np
 import pytest
 
-from kuramem import (ParameterDomainError, build_hex_array, build_honeycomb,
+from kuramem import (NonIntegerWindingError, ParameterDomainError,
+                     build_hex_array, build_honeycomb,
                      build_square_array, build_topology, build_tri_array,
                      count_exact, run_experiment, sample_estimate,
                      wilson_interval)
 from kuramem.capacity import RESULT_FIELDS, results_to_csv
+from kuramem.equilibria import ENUMERATION_BUDGET
 
 # reference values computed with an independent Wilson implementation
 WILSON_CASES = [
@@ -145,16 +147,35 @@ def test_experiment_sampled_mode_kicks_in():
     assert row["ci_low"] <= row["count"] <= row["ci_high"]
 
 
-def test_experiment_bad_family_becomes_error_row():
-    config = {
-        "families": [
-            {"topology": "honeycomb", "nc": 4, "m_values": [1]},
-            {"topology": "honeycomb", "nc": 5, "m_values": [1]},
-        ],
-    }
-    rows = run_experiment(config)
-    assert rows[0]["mode"] == "error"
-    assert rows[1]["count"] == 3
+@pytest.mark.parametrize("bad", [{"topology": "honeycomb", "nc": 4, "m_values": [1]},
+                                 {"topology": "hex", "sizes": [[0, 1]]}])
+def test_experiment_bad_family_stops_the_sweep_before_any_count(monkeypatch, bad):
+    calls = []
+    monkeypatch.setattr(importlib.import_module("kuramem.capacity"), "count_exact",
+                        lambda *args, **kwargs: calls.append(args))
+    config = {"families": [{"topology": "honeycomb", "nc": 5, "m_values": [1]}, bad]}
+    with pytest.raises(ParameterDomainError):
+        run_experiment(config)
+    assert calls == []
+
+
+def test_experiment_lets_a_winding_error_in_a_row_propagate(monkeypatch):
+    def broken(*args, **kwargs):
+        raise NonIntegerWindingError("cycle sum 0.5 is not an integer")
+
+    monkeypatch.setattr(importlib.import_module("kuramem.capacity"), "count_exact", broken)
+    with pytest.raises(NonIntegerWindingError):
+        run_experiment({"families": [{"topology": "honeycomb", "nc": 5, "m_values": [1]}]})
+
+
+@pytest.mark.parametrize("config,match", [
+    ({"exact_threshold": ENUMERATION_BUDGET + 1}, "exact_threshold must be <="),
+    ({"sampels": 3}, "keys must be among"),
+])
+def test_experiment_refuses_a_bad_sweep_setting(config, match):
+    families = [{"topology": "honeycomb", "nc": 5, "m_values": [1]}]
+    with pytest.raises(ParameterDomainError, match=match):
+        run_experiment({**config, "families": families})
 
 
 def test_experiment_lets_bugs_propagate(monkeypatch):

@@ -117,6 +117,27 @@ def test_capacity_exact_honeycomb(tmp_path):
     assert row.split(",")[:6] == ["file", "0", "0", "13", "exact", "27"]
 
 
+def _csv_cells(csv_text):
+    header, row = csv_text.strip().split("\n")
+    return dict(zip(header.split(","), row.split(",")))
+
+
+def test_capacity_row_is_the_experiment_row(tmp_path):
+    from kuramem import run_experiment
+    from kuramem.capacity import results_to_csv
+
+    build = run_cli(["build", "--topology", "honeycomb", "--nc", "5", "--m", "3",
+                     "-o", "g13.json"], tmp_path)
+    assert build.returncode == 0, build.stderr
+    res = run_cli(["capacity", "--graph", "g13.json"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    rows = run_experiment({"families": [{"topology": "honeycomb", "nc": 5, "m_values": [3]}]})
+    file_row, sweep_row = _csv_cells(res.stdout), _csv_cells(results_to_csv(rows))
+    keys = ("n_nodes", "mode", "count", "ci_low", "ci_high", "samples")
+    assert [file_row[k] for k in keys] == [sweep_row[k] for k in keys] \
+        == ["13", "exact", "27", "27", "27", "0"]
+
+
 def test_capacity_sampled_from_graph_file(tmp_path, g9):
     res = run_cli(["capacity", "--graph", "g9.json", "--sample", "50",
                    "--seed", "5"], tmp_path)
@@ -183,6 +204,17 @@ def test_capacity_times_the_count(tmp_path, g9):
     header, row = res.stdout.strip().split("\n")
     assert header.endswith(",wall_ms")
     assert float(row.split(",")[-1]) > 0
+
+
+@pytest.mark.parametrize("topology", ["square", "tri"])
+@pytest.mark.parametrize("command", [["store", "--pattern", "1"], ["retrieve", "--pattern", "1"]])
+def test_store_and_retrieve_name_a_cell_that_is_not_the_honeycomb(tmp_path, topology, command):
+    build = run_cli(["build", "--topology", topology, "--rows", "1", "--cols", "1",
+                     "-o", "cell.json"], tmp_path)
+    assert build.returncode == 0, build.stderr
+    res = run_cli([*command, "--graph", "cell.json"], tmp_path)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("error: graph is not the honeycomb with nc ")
 
 
 def test_retrieve_zero_noise_round_trip(tmp_path, g9):
@@ -340,6 +372,18 @@ def test_retrieve_takes_no_step_flag(tmp_path, g9):
        b'[4, 5], [5, 10], [6, 7], [7, 8], [8, 9], [9, 10]], '
        b'"cycle_basis": [[1, 2, 3, 8, 7, 6], [1, 2, 3, 8, 7, 6]]}')
       for args in [["capacity", "--graph"], ["enumerate", "--graph"]]],
+    # a sweep is checked whole before its first row: a misspelt key, a threshold
+    # above the enumeration budget, a family its builder refuses after a good one
+    *[(["experiment", "--config"], b'{%s"families": [{"topology": "honeycomb", "nc": 5, '
+       b'"m_values": [1]}%s]}' % fields) for fields in [
+        (b'"sampels": 3, ', b""), (b'"exact_threshold": 10000001, ', b""),
+        (b"", b', {"topology": "honeycomb", "nc": 4, "m_values": [1]}'),
+        (b"", b', {"topology": "hex", "sizes": [[0, 1]]}')]],
+    # --init entries that are not JSON numbers, or not finite floats
+    *[pytest.param(["simulate", "--graph", "g9.json", "--init"],
+                   b'{"theta": [%s, 0, 0, 0, 0, 0, 0, 0, 0]}' % entry, id=f"init-{name}")
+      for name, entry in [("string", b'"0.1"'), ("bool", b"true"),
+                          ("400-digit-int", b"1" + b"0" * 400)]],
 ])
 def test_malformed_input_file_exits_2(tmp_path, g9, args, content):
     (tmp_path / "input").write_bytes(content)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kuramem import (ParameterDomainError, PatternCodec, RetrievalError,
-                     build_honeycomb, build_honeycomb_chain, capacity,
+                     build_hex_array, build_honeycomb, build_honeycomb_chain,
+                     build_square_array, build_tri_array, capacity,
                      codec_for_graph, construct_config, decode, encode,
                      graph_from_json, integrate, num_patterns, retrieve, store,
                      winding_vector, wrap_angle)
@@ -181,6 +182,16 @@ def test_codec_for_graph_reads_the_honeycomb_only():
     assert codec_for_graph(build_honeycomb(5, 3, 1.5)) == PatternCodec(5, 3)
     with pytest.raises(ParameterDomainError, match="not the honeycomb"):
         codec_for_graph(build_honeycomb_chain(5, 2))
+
+
+@pytest.mark.parametrize("g", [
+    build_square_array(1, 1), build_tri_array(1, 1), build_hex_array(1, 1),
+    graph_from_json('{"n": 3, "coupling_c": 1.0, "edges": [[1, 2], [2, 3]], "cycle_basis": []}'),
+])
+def test_codec_for_graph_names_the_graph_not_a_cycle_size(g):
+    # square and tri cells have 4 and 3 nodes, a tree has no cycle at all
+    with pytest.raises(ParameterDomainError, match="^graph is not the honeycomb"):
+        codec_for_graph(g)
 
 
 def test_codec_for_graph_builds_no_honeycomb_larger_than_the_graph(monkeypatch):
