@@ -7,9 +7,9 @@ through them, and count or estimate configuration capacity.
 
 from .capacity import (CapacityEstimate, build_topology, count_exact,
                        run_experiment, sample_estimate, wilson_interval)
-from .dynamics import (IntegrationResult, StabilityVerdict, canonical_distance,
-                       canonicalize, classify_stability, energy, integrate,
-                       jacobian, lock_dt, rhs, wrap_angle)
+from .dynamics import (IntegrationResult, StabilityVerdict, canonicalize,
+                       classify_stability, energy, integrate, jacobian,
+                       lock_dt, rhs, wrap_angle)
 from .equilibria import (AuditReport, Equilibrium, audit_spurious,
                          construct_config, enumerate_exact, is_phase_cohesive,
                          max_winding, winding_box, winding_box_size,
@@ -33,7 +33,7 @@ __all__ = [
     "StabilityVerdict",
     "audit_spurious", "build_hex_array", "build_honeycomb",
     "build_honeycomb_chain", "build_square_array", "build_topology",
-    "build_tri_array", "canonical_distance", "canonicalize", "capacity",
+    "build_tri_array", "canonicalize", "capacity",
     "classify_stability", "codec_for_graph", "construct_config", "count_exact",
     "decode", "degrees", "encode", "energy",
     "enumerate_exact", "graph_from_json", "graph_to_json", "integrate",

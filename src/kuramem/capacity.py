@@ -83,10 +83,11 @@ def sample_estimate(g: Graph, samples: int, seed: int = 0, jobs: int = 1) -> Cap
     Each distinct draw is solved once, over `jobs` processes as in
     enumerate_exact, and counted for every draw of it; the estimator is the
     hit fraction scaled by the box size, with a Wilson 95% interval scaled
-    and clipped the same way.
+    and clipped the same way. A count outside 1..ENUMERATION_BUDGET raises
+    ParameterDomainError before anything is drawn.
     """
-    if samples < 1:
-        raise ParameterDomainError(f"samples must be >= 1, got {samples}")
+    if not 1 <= samples <= ENUMERATION_BUDGET:
+        raise ParameterDomainError(f"samples must be in 1..{ENUMERATION_BUDGET}, got {samples}")
     box = winding_box(g)
     box_size = winding_box_size(g)
     rng = np.random.default_rng(seed)
@@ -163,9 +164,10 @@ def run_experiment(config: dict, jobs: int = 1) -> list[dict]:
     kinds or {"topology": ..., "sizes": [[r, c], ...]} for arrays. Rows
     whose winding box is at most exact_threshold are enumerated exactly,
     the rest sampled, each by count_row. The whole sweep is checked before
-    the first count: a malformed or unknown key, an exact_threshold above
-    ENUMERATION_BUDGET or a family its builder refuses raises
-    ParameterDomainError. Any error raised while counting propagates.
+    the first count: a malformed or unknown key, samples outside
+    1..ENUMERATION_BUDGET, an exact_threshold above it or a family its
+    builder refuses raises ParameterDomainError. Any error raised while
+    counting propagates.
     """
     try:
         if not set(config) <= CONFIG_KEYS:
@@ -178,8 +180,9 @@ def run_experiment(config: dict, jobs: int = 1) -> list[dict]:
         raise ParameterDomainError(f"malformed experiment config: {exc}") from exc
     if base_seed < 0:
         raise ParameterDomainError(f"experiment seed must be >= 0, got {base_seed}")
-    if samples < 1:
-        raise ParameterDomainError(f"experiment samples must be >= 1, got {samples}")
+    if not 1 <= samples <= ENUMERATION_BUDGET:
+        raise ParameterDomainError(
+            f"experiment samples must be in 1..{ENUMERATION_BUDGET}, got {samples}")
     if threshold > ENUMERATION_BUDGET:
         raise ParameterDomainError(
             f"experiment exact_threshold must be <= {ENUMERATION_BUDGET}, got {threshold}")

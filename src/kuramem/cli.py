@@ -1,11 +1,12 @@
 """Command-line front end.
 
-`build` is the only subcommand that takes topology flags; every other
-one reads the graph file that `build` writes. Every subcommand is
+`build` is the only subcommand that takes topology flags; `audit` reads
+the equilibria file that `enumerate -o` writes, and every other one
+reads the graph file that `build` writes. Every subcommand is
 deterministic given its flags and seed; randomized commands take --seed,
-which falls back to the KURAMEM_SEED environment variable and then to 0. Exit codes: 1 I/O failure, 2 parameter domain
-error, 3 enumeration budget exceeded, 4 `audit` found a stable spurious
-memory.
+which falls back to the KURAMEM_SEED environment variable and then to 0.
+Exit codes: 1 I/O failure, 2 parameter domain error, 3 winding box above
+ENUMERATION_BUDGET, 4 `audit` found a stable spurious memory.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from . import jsonutil
 from .capacity import (BUILDERS, build_topology, count_row, results_to_csv,
                        run_experiment)
 from .dynamics import DEFAULT_CONV_TOL, DEFAULT_DT, DEFAULT_T_MAX, integrate
-from .equilibria import (ENUMERATION_BUDGET, audit_spurious, enumerate_exact,
+from .equilibria import (audit_spurious, enumerate_exact, equilibria_from_json,
                          equilibria_to_json)
 from .errors import (EnumerationBudgetError, IntegrationBlowUpError,
                      ParameterDomainError, RetrievalError)
@@ -104,7 +105,7 @@ def cmd_build(args) -> int:
 
 def cmd_enumerate(args) -> int:
     g = _load_graph(args.graph)
-    eqs = enumerate_exact(g, budget=args.budget, jobs=args.jobs)
+    eqs = enumerate_exact(g, jobs=args.jobs)
     _write_output(equilibria_to_json(g, eqs), args.output)
     return 0
 
@@ -175,8 +176,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    g = _load_graph(args.graph)
-    known = enumerate_exact(g, budget=args.budget, jobs=args.jobs)
+    g, known = equilibria_from_json(_read_text(args.equilibria))
     report = audit_spurious(g, known, args.trials, seed=_resolve_seed(args.seed),
                             jobs=args.jobs)
     _write_output("\n".join(report.summary_lines()) + "\n", args.output)
@@ -220,7 +220,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="all stable cohesive equilibria of a graph")
     p.add_argument("--graph", required=True)
-    p.add_argument("--budget", type=int, default=ENUMERATION_BUDGET)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_enumerate)
@@ -263,11 +262,11 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("audit", help="random-restart search for spurious memories")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("audit", help="random-restart search for spurious memories "
+                                     "beyond the equilibria `enumerate -o` wrote")
+    p.add_argument("--equilibria", required=True, metavar="FILE")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int, default=ENUMERATION_BUDGET)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_audit)

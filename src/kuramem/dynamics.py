@@ -37,17 +37,6 @@ def canonicalize(theta: np.ndarray) -> np.ndarray:
     return wrap_angle(theta - theta[0])
 
 
-def canonical_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """l-inf distance between two states modulo global rotation.
-
-    The elementwise difference of the gauge-fixed states is wrapped again
-    so that entries sitting on opposite sides of the +/-pi seam compare
-    as close.
-    """
-    d = wrap_angle(canonicalize(a) - canonicalize(b))
-    return float(np.max(np.abs(d)))
-
-
 def _check_length(theta: np.ndarray, g: Graph, name: str = "theta") -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape[-1] != g.n:
@@ -114,14 +103,13 @@ class StabilityVerdict:
     """Spectral verdict at an equilibrium.
 
     kind is 'stable' when exactly one eigenvalue lies in the zero band
-    [-zero_tol, zero_tol] (the rotation mode) and all others are below
-    -zero_tol; 'unstable' when any eigenvalue exceeds +zero_tol;
-    'marginal' otherwise.
+    [-DEFAULT_ZERO_TOL, DEFAULT_ZERO_TOL] (the rotation mode) and all
+    others are below it; 'unstable' when any eigenvalue exceeds
+    +DEFAULT_ZERO_TOL; 'marginal' otherwise.
     """
 
     kind: str
     eigenvalues: tuple[float, ...]
-    zero_tol: float
 
     @property
     def is_stable(self) -> bool:
@@ -155,8 +143,7 @@ def classify_stability(theta: np.ndarray, g: Graph,
         kind = "stable"
     else:
         kind = "marginal"
-    return StabilityVerdict(kind=kind, eigenvalues=tuple(float(x) for x in ev),
-                            zero_tol=DEFAULT_ZERO_TOL)
+    return StabilityVerdict(kind=kind, eigenvalues=tuple(float(x) for x in ev))
 
 
 def lock_dt(g: Graph) -> float:

@@ -10,6 +10,7 @@ which makes the analytic honeycomb construction round-trip exactly.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -20,7 +21,7 @@ from . import jsonutil
 from .dynamics import (DEFAULT_CONV_TOL, canonicalize, classify_stability,
                        energy, integrate_batch, lock_dt, rhs, wrap_angle)
 from .errors import NonIntegerWindingError, ParameterDomainError, EnumerationBudgetError
-from .graphs import Graph, graph_payload
+from .graphs import Graph, graph_from_payload, graph_payload
 
 TWO_PI = 2.0 * np.pi
 
@@ -30,6 +31,10 @@ AUDIT_CHUNK_ROWS = 256
 SOLVER_RETRIES = 5
 PERTURB_AMPLITUDE = 0.1
 ENUMERATION_BUDGET = 10_000_000
+# |rhs| accepted at a state that met DEFAULT_CONV_TOL before it was
+# gauge-shifted, re-wrapped or written out, each of which moves every sin
+# term by a few ulp.
+SETTLED_RESIDUAL_TOL = 10 * DEFAULT_CONV_TOL
 
 # Backtracking line search on the coupling energy.
 DESCENT_STEP0 = 0.1
@@ -222,21 +227,18 @@ def _map(fn, items: list, jobs: int) -> list:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
 
 
-def enumerate_exact(g: Graph, budget: int = ENUMERATION_BUDGET,
-                    jobs: int = 1) -> list[Equilibrium]:
+def enumerate_exact(g: Graph, jobs: int = 1) -> list[Equilibrium]:
     """All stable phase-cohesive equilibria, by checking every admissible
     winding vector.
 
     Distinct cohesive equilibria carry distinct winding vectors, so the
     hits come out one per vector, in lexicographic winding order. Boxes
-    larger than the budget raise EnumerationBudgetError.
+    larger than ENUMERATION_BUDGET raise EnumerationBudgetError.
     """
-    if budget < 1:
-        raise ParameterDomainError(f"budget must be >= 1, got {budget}")
     size = winding_box_size(g)
-    if size > budget:
+    if size > ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
-            f"winding box has {size} vectors, budget is {budget}")
+            f"winding box has {size} vectors, budget is {ENUMERATION_BUDGET}")
     vectors = list(itertools.product(*winding_box(g)))
     hits = _map(partial(winding_constrained_solve, g), vectors, jobs)
     return [eq for eq in hits if eq is not None]
@@ -308,7 +310,7 @@ def audit_spurious(g: Graph, known: list[Equilibrium], trials: int,
         if cohesive and w in known_windings:
             report.match_counts[w] = report.match_counts.get(w, 0) + 1
             continue
-        if classify_stability(theta, g, residual_tol=10 * DEFAULT_CONV_TOL).is_stable:
+        if classify_stability(theta, g, residual_tol=SETTLED_RESIDUAL_TOL).is_stable:
             report.unmatched_stable.append(Equilibrium(theta=theta, winding=w,
                                                        cohesive=cohesive))
         else:
@@ -326,10 +328,47 @@ def equilibria_to_json(g: Graph, eqs: list[Equilibrium]) -> str:
                 "winding": list(eq.winding),
                 "theta": [float(x) for x in eq.theta],
                 "eigen_max_nonzero": classify_stability(
-                    eq.theta, g, residual_tol=10 * DEFAULT_CONV_TOL).max_nonzero_eigenvalue(),
+                    eq.theta, g, residual_tol=SETTLED_RESIDUAL_TOL).max_nonzero_eigenvalue(),
                 "cohesive": eq.cohesive,
             }
             for eq in eqs
         ],
     }
     return jsonutil.dumps(payload)
+
+
+def equilibria_from_json(text: str) -> tuple[Graph, list[Equilibrium]]:
+    """Read back what equilibria_to_json wrote, checked as outside input.
+
+    The graph is validated as graph_from_json validates it. Each row must
+    hold n finite theta entries that form an equilibrium (|rhs| <=
+    SETTLED_RESIDUAL_TOL), phase-cohesive and carrying the row's integer
+    winding (one entry per basis cycle); no winding may repeat.
+    eigen_max_nonzero and cohesive are not read. Anything else raises
+    ParameterDomainError.
+    """
+    try:
+        payload = json.loads(text)
+        graph, rows = payload["graph"], list(payload["equilibria"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParameterDomainError(f"malformed equilibria JSON: {exc}") from exc
+    g = graph_from_payload(graph)
+    known: dict[tuple[int, ...], Equilibrium] = {}
+    for i, row in enumerate(rows):
+        try:
+            winding = tuple(jsonutil.integer(k, "winding entry") for k in row["winding"])
+            theta = np.array([jsonutil.number(x, "theta entry") for x in row["theta"]])
+            residual = float(np.max(np.abs(rhs(theta, g))))   # ValueError unless n entries
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParameterDomainError(f"malformed equilibrium {i}: {exc}") from exc
+        if residual > SETTLED_RESIDUAL_TOL:
+            raise ParameterDomainError(f"equilibrium {i} is not stationary: |rhs| = {residual:.3e}")
+        if not is_phase_cohesive(theta, g):
+            raise ParameterDomainError(f"equilibrium {i} is not phase-cohesive")
+        carried = tuple(winding_vector(theta, g).tolist())
+        if carried != winding:
+            raise ParameterDomainError(f"equilibrium {i} carries winding {carried}, not {winding}")
+        if winding in known:
+            raise ParameterDomainError(f"equilibrium {i} repeats winding {winding}")
+        known[winding] = Equilibrium(theta=theta, winding=winding, cohesive=True)
+    return g, list(known.values())

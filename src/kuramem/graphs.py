@@ -236,14 +236,23 @@ def graph_to_json(g: Graph) -> str:
     return dumps(graph_payload(g))
 
 
-def graph_from_json(text: str) -> Graph:
-    """Parse and re-validate a graph from its JSON form."""
+def graph_from_payload(payload) -> Graph:
+    """Re-validate a graph from its parsed interchange form (graph_payload's
+    schema), as read from an outside file."""
     try:
-        payload = json.loads(text)
         n = integer(payload["n"], "n")
         coupling = number(payload["coupling_c"], "coupling_c")
         edges = [(integer(a, "edge end"), integer(b, "edge end")) for a, b in payload["edges"]]
         cycles = [tuple(integer(v, "cycle node") for v in c) for c in payload["cycle_basis"]]
-    except (KeyError, TypeError, ValueError) as exc:   # JSONDecodeError too
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParameterDomainError(f"malformed graph JSON: {exc}") from exc
     return _validated_graph(n, edges, cycles, coupling)
+
+
+def graph_from_json(text: str) -> Graph:
+    """Parse and re-validate a graph from its JSON form."""
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:   # JSONDecodeError
+        raise ParameterDomainError(f"malformed graph JSON: {exc}") from exc
+    return graph_from_payload(payload)

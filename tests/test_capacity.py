@@ -86,6 +86,15 @@ def test_sample_estimate_deterministic_per_seed():
     assert a.seed == 3 and c.seed == 4
 
 
+def test_sample_estimate_refuses_more_draws_than_the_budget_before_drawing(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ParameterDomainError, match="samples must be in 1..10000000"):
+        sample_estimate(build_honeycomb(5, 3), samples=ENUMERATION_BUDGET + 1)
+
+
 def test_build_topology_dispatch():
     assert build_topology("honeycomb", 5, 2).n == 9
     assert build_topology("hex", 1, 1).n == 6
@@ -171,6 +180,7 @@ def test_experiment_lets_a_winding_error_in_a_row_propagate(monkeypatch):
 @pytest.mark.parametrize("config,match", [
     ({"exact_threshold": ENUMERATION_BUDGET + 1}, "exact_threshold must be <="),
     ({"sampels": 3}, "keys must be among"),
+    ({"samples": ENUMERATION_BUDGET + 1}, "samples must be in 1..10000000"),
 ])
 def test_experiment_refuses_a_bad_sweep_setting(config, match):
     families = [{"topology": "honeycomb", "nc": 5, "m_values": [1]}]

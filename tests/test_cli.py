@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import shlex
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -34,9 +36,16 @@ def g9(tmp_path):
     return tmp_path / "g9.json"
 
 
-def _readme_blocks(lang):
-    """The ```lang code blocks of README's "Command line" section."""
-    section = README.read_text(encoding="utf-8").split("\n## Command line\n")[1]
+@pytest.fixture()
+def eq9(tmp_path, g9):
+    res = run_cli(["enumerate", "--graph", "g9.json", "-o", "eq9.json"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    return tmp_path / "eq9.json"
+
+
+def _readme_blocks(lang, heading="Command line"):
+    """The ```lang code blocks of one README section."""
+    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n")[1]
     section = section.split("\n## ")[0]
     return [b.split("\n", 1)[1] for b in section.split("```")[1::2]
             if b.startswith(lang + "\n")]
@@ -50,6 +59,11 @@ def test_readme_command_line_runs_as_written(tmp_path):
     for line in lines:
         res = run_cli(shlex.split(line)[1:], tmp_path)
         assert res.returncode == 0, (line, res.stderr)
+
+
+def test_readme_library_quick_start_runs_as_written():
+    (code,) = _readme_blocks("python", "Library quick start")
+    exec(compile(code, str(README), "exec"), {})
 
 
 def test_build_writes_valid_graph(tmp_path, g9):
@@ -91,13 +105,30 @@ def test_enumerate_outputs_nine_equilibria(tmp_path, g9):
     assert again.stdout == (tmp_path / "eq.json").read_text()
 
 
-def test_enumerate_budget_exit_code(tmp_path, g9):
-    for command in ("enumerate", "audit --trials 1"):
-        res = run_cli([*command.split(), "--graph", "g9.json", "--budget", "2"], tmp_path)
+def test_enumerate_budget_exit_code(tmp_path):
+    # 3**15 = 14,348,907 winding vectors, above ENUMERATION_BUDGET = 10**7
+    build = run_cli(["build", "--topology", "honeycomb", "--nc", "5", "--m", "15",
+                     "-o", "h515.json"], tmp_path)
+    assert build.returncode == 0, build.stderr
+    for command in ("enumerate", "capacity"):
+        res = run_cli([command, "--graph", "h515.json"], tmp_path)
         assert res.returncode == 3
         assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
-        assert "9 vectors" in res.stderr and "budget is 2" in res.stderr
+        assert "14348907 vectors" in res.stderr and "budget is 10000000" in res.stderr
         assert res.stdout == ""
+
+
+@pytest.mark.parametrize("args,flags", [
+    (["enumerate", "--graph", "g9.json"], ["--budget", "2"]),
+    (["audit", "--equilibria", "eq9.json", "--trials", "1"], ["--budget", "2"]),
+    (["audit", "--equilibria", "eq9.json", "--trials", "1"], ["--graph", "g9.json"]),
+])
+def test_audit_and_enumerate_take_no_budget_and_audit_no_graph(tmp_path, eq9, args, flags):
+    # the budget is the constant ENUMERATION_BUDGET; audit's network comes
+    # with its equilibria
+    res = run_cli([*args, *flags], tmp_path)
+    assert res.returncode == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in res.stderr and res.stdout == ""
 
 
 def test_missing_graph_file_is_io_error(tmp_path):
@@ -319,8 +350,9 @@ RETRIEVE = ["retrieve", "--graph", "g9.json", "--pattern", "0110"]
     [*SIMULATE, "--noise", "1e308"],
     ["enumerate", "--graph", "g9.json", "--jobs", "0"],
     *[[*SIMULATE, "--conv-tol", v] for v in ("nan", "0", "-1", "inf")],
-    ["enumerate", "--graph", "g9.json", "--budget", "-5"],
-    ["enumerate", "--graph", "g9.json", "--budget", "0"],
+    ["capacity", "--graph", "g9.json", "--sample", "0"],
+    ["capacity", "--graph", "g9.json", "--sample", "10000001"],
+    ["capacity", "--graph", "g9.json", "--sample", "10000000000"],
 ])
 def test_simulate_rejects_bad_flags(tmp_path, g9, flags):
     res = run_cli(flags, tmp_path)
@@ -334,6 +366,43 @@ def test_retrieve_takes_no_step_flag(tmp_path, g9):
     res = run_cli([*RETRIEVE, "--dt", "0.01"], tmp_path)
     assert res.returncode == 2
     assert "unrecognized arguments: --dt 0.01" in res.stderr and res.stdout == ""
+
+
+@cache
+def _g9_enumerated() -> str:
+    """The equilibria file `enumerate` writes for honeycomb (5, 2)."""
+    from kuramem import build_honeycomb, enumerate_exact
+    from kuramem.equilibria import equilibria_to_json
+
+    g = build_honeycomb(5, 2)
+    return equilibria_to_json(g, enumerate_exact(g))
+
+
+EQ9_EDITS = ("theta-moved", "winding-edited", "row-repeated", "non-cohesive",
+             "theta-short", "theta-string")
+
+
+def _g9_equilibria(edit: str) -> bytes:
+    """The (5, 2) equilibria file with one edit made to its rows."""
+    payload = json.loads(_g9_enumerated())
+    rows = payload["equilibria"]
+    sync = rows[4]   # winding (0, 0), theta all zeros
+    if edit == "theta-moved":
+        sync["theta"][3] += 1e-3
+    elif edit == "winding-edited":
+        sync["winding"][0] = 1
+    elif edit == "row-repeated":
+        rows.append(rows[0])
+    elif edit == "non-cohesive":
+        # the first ring in its 2-twisted splay state, the second ring
+        # synchronous with their shared node 5: stationary, winding (2, 0)
+        sync["theta"] = [-0.8 * math.pi * min(k, 4) for k in range(9)]
+        sync["winding"] = [2, 0]
+    elif edit == "theta-short":
+        sync["theta"].pop()
+    elif edit == "theta-string":
+        sync["theta"][2] = "0.1"
+    return json.dumps(payload).encode()
 
 
 @pytest.mark.parametrize("args,content", [
@@ -365,8 +434,12 @@ def test_retrieve_takes_no_step_flag(tmp_path, g9):
     # a one-node graph
     *[(args, b'{"n": 1, "coupling_c": 1.0, "edges": [], "cycle_basis": []}') for args in [
         ["enumerate", "--graph"], ["capacity", "--graph"],
-        ["capacity", "--sample", "5", "--graph"], ["audit", "--trials", "3", "--graph"],
-        ["simulate", "--tmax", "1", "--graph"]]],
+        ["capacity", "--sample", "5", "--graph"]]],
+    pytest.param(["audit", "--trials", "3", "--equilibria"],
+                 b'{"graph": {"n": 1, "coupling_c": 1.0, "edges": [], "cycle_basis": []}, '
+                 b'"equilibria": []}', id="audit-one-node-graph"),
+    (["simulate", "--tmax", "1", "--graph"],
+     b'{"n": 1, "coupling_c": 1.0, "edges": [], "cycle_basis": []}'),
     # hex 1x2 with its first hexagon listed twice: |E|-n+1 cycles, all edges, no basis
     *[(args, b'{"n": 10, "coupling_c": 1.0, "edges": [[1, 2], [1, 6], [2, 3], [3, 4], [3, 8], '
        b'[4, 5], [5, 10], [6, 7], [7, 8], [8, 9], [9, 10]], '
@@ -384,6 +457,9 @@ def test_retrieve_takes_no_step_flag(tmp_path, g9):
                    b'{"theta": [%s, 0, 0, 0, 0, 0, 0, 0, 0]}' % entry, id=f"init-{name}")
       for name, entry in [("string", b'"0.1"'), ("bool", b"true"),
                           ("400-digit-int", b"1" + b"0" * 400)]],
+    # an equilibria file is checked row by row as outside input
+    *[pytest.param(["audit", "--trials", "3", "--equilibria"], _g9_equilibria(edit),
+                   id=f"audit-{edit}") for edit in EQ9_EDITS],
 ])
 def test_malformed_input_file_exits_2(tmp_path, g9, args, content):
     (tmp_path / "input").write_bytes(content)
@@ -413,12 +489,28 @@ def test_plot_skips_rows_it_cannot_place():
     assert write_capacity_svg([good, *bad]) == write_capacity_svg([good])
 
 
-def test_audit_reports_no_unmatched(tmp_path, g9):
-    res = run_cli(["audit", "--graph", "g9.json", "--trials", "50",
+def test_audit_reports_no_unmatched(tmp_path, eq9):
+    res = run_cli(["audit", "--equilibria", "eq9.json", "--trials", "50",
                    "--seed", "7"], tmp_path)
     assert res.returncode == 0, res.stderr
     assert "unmatched: 0" in res.stdout
     assert "trials: 50" in res.stdout
+
+
+def test_audit_reads_the_enumeration_and_solves_nothing(tmp_path, eq9, monkeypatch):
+    from kuramem import audit_spurious, build_honeycomb, enumerate_exact, equilibria
+    from kuramem.cli import main
+
+    g = build_honeycomb(5, 2)
+    expected = audit_spurious(g, enumerate_exact(g), trials=40, seed=7).summary_lines()
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("audit ran the solver")
+
+    monkeypatch.setattr(equilibria, "winding_constrained_solve", no_solve)
+    assert main(["audit", "--equilibria", str(eq9), "--trials", "40", "--seed", "7",
+                 "-o", str(tmp_path / "audit.txt")]) == 0
+    assert (tmp_path / "audit.txt").read_text() == "\n".join(expected) + "\n"
 
 
 def test_build_enumerate_capacity_round_trip(tmp_path, g9):
@@ -432,8 +524,8 @@ def test_build_enumerate_capacity_round_trip(tmp_path, g9):
     assert n_eq == count == num_patterns(5, 2) == 9
 
 
-def test_audit_accepts_jobs_flag(tmp_path, g9):
-    res = run_cli(["audit", "--graph", "g9.json", "--trials", "24",
+def test_audit_accepts_jobs_flag(tmp_path, eq9):
+    res = run_cli(["audit", "--equilibria", "eq9.json", "--trials", "24",
                    "--seed", "7", "--jobs", "2"], tmp_path)
     assert res.returncode == 0, res.stderr
     assert "unmatched: 0" in res.stdout

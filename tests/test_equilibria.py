@@ -10,15 +10,16 @@ from hypothesis import strategies as st
 from kuramem import (EnumerationBudgetError, ParameterDomainError,
                      audit_spurious, build_hex_array, build_honeycomb,
                      build_honeycomb_chain, build_square_array,
-                     canonical_distance, classify_stability, construct_config, degrees,
+                     classify_stability, construct_config, degrees,
                      enumerate_exact, graph_from_json, is_phase_cohesive,
                      max_winding, rhs,
                      winding_box, winding_box_size, winding_constrained_solve,
                      winding_vector, wrap_angle)
 from kuramem import equilibria
-from kuramem.dynamics import DEFAULT_DT, integrate_batch, lock_dt
-from kuramem.equilibria import equilibria_to_json
-from test_graphs import ALL_BUILDERS
+from kuramem.dynamics import DEFAULT_CONV_TOL, DEFAULT_DT, integrate_batch, lock_dt
+from kuramem.equilibria import (SETTLED_RESIDUAL_TOL, equilibria_from_json,
+                                equilibria_to_json)
+from test_graphs import ALL_BUILDERS, canonical_distance
 
 
 def test_max_winding_values():
@@ -230,10 +231,41 @@ def test_enumerated_hits_pass_the_eigen_check(builder, params):
         assert entry["eigen_max_nonzero"] == verdict.max_nonzero_eigenvalue()
 
 
-def test_enumerate_budget_guard():
+@pytest.mark.parametrize("builder,params", [(build_honeycomb, (5, 2)),
+                                            (build_hex_array, (2, 2)),
+                                            (build_square_array, (2, 2))])
+def test_equilibria_file_round_trips_bit_for_bit(builder, params):
+    g = builder(*params)
+    eqs = enumerate_exact(g)
+    g2, eqs2 = equilibria_from_json(equilibria_to_json(g, eqs))
+    assert g2 == g
+    assert [eq.winding for eq in eqs2] == [eq.winding for eq in eqs]
+    for a, b in zip(eqs, eqs2):
+        assert a.theta.tobytes() == b.theta.tobytes() and b.cohesive
+
+
+@pytest.mark.parametrize("shift,accepted", [(1e-9, True), (1e-8, False)])
+def test_equilibria_file_allows_the_settled_residual_slack(shift, accepted):
+    # canonicalize moves a solved state's |rhs| by a few ulp, so a row the
+    # solver accepted just under DEFAULT_CONV_TOL may be stored just above it
     g = build_honeycomb(5, 2)
-    with pytest.raises(EnumerationBudgetError):
-        enumerate_exact(g, budget=8)
+    payload = json.loads(equilibria_to_json(g, enumerate_exact(g)))
+    sync = next(row for row in payload["equilibria"] if row["winding"] == [0, 0])
+    sync["theta"][3] = shift   # node 3 has degree 2: |rhs|_inf = 2 * shift
+    residual = float(np.max(np.abs(rhs(np.array(sync["theta"]), g))))
+    assert residual > DEFAULT_CONV_TOL and (residual <= SETTLED_RESIDUAL_TOL) == accepted
+    if accepted:
+        _, eqs = equilibria_from_json(json.dumps(payload))
+        assert len(eqs) == 9
+    else:
+        with pytest.raises(ParameterDomainError, match="not stationary"):
+            equilibria_from_json(json.dumps(payload))
+
+
+def test_enumerate_budget_guard():
+    g = build_honeycomb(5, 15)   # 3**15 = 14,348,907 winding vectors
+    with pytest.raises(EnumerationBudgetError, match="14348907 vectors, budget is 10000000"):
+        enumerate_exact(g)
 
 
 def test_enumerate_parallel_matches_serial():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from kuramem import (ParameterDomainError, build_hex_array, build_honeycomb,
                      build_honeycomb_chain, build_square_array, build_tri_array,
-                     degrees, graph_from_json, graph_to_json)
+                     canonicalize, degrees, graph_from_json, graph_to_json, wrap_angle)
 
 ALL_BUILDERS = [
     (build_honeycomb, (5, 1)),
@@ -31,6 +31,12 @@ def oriented_incidence(g):
         B[a - 1, e] = -1.0
         B[b - 1, e] = 1.0
     return B
+
+
+def canonical_distance(a, b):
+    """l-inf distance between two states modulo global rotation, with the
+    difference of the gauge-fixed states wrapped again across the +-pi seam."""
+    return float(np.max(np.abs(wrap_angle(canonicalize(a) - canonicalize(b)))))
 
 
 def test_honeycomb_5_1_is_a_pentagon():
