@@ -146,6 +146,12 @@ def classify_stability(theta: np.ndarray, g: Graph,
     return StabilityVerdict(kind=kind, eigenvalues=tuple(float(x) for x in ev))
 
 
+def _synchrony_spectrum(g: Graph) -> np.ndarray:
+    """Jacobian eigenvalues at synchrony, ascending. J = -c L there, so
+    ev[0] = -c lambda_max(L) and ev[-2] = -c lambda_2(L)."""
+    return np.linalg.eigvalsh(jacobian(np.zeros(g.n), g))
+
+
 def lock_dt(g: Graph) -> float:
     """RK4 step for relaxing to a phase lock: 1 / (2 c lambda_max(L)).
 
@@ -155,7 +161,19 @@ def lock_dt(g: Graph) -> float:
     inside the RK4 stability interval. Callers that only want the locked
     state use it; trajectories keep DEFAULT_DT.
     """
-    return float(0.5 / -np.linalg.eigvalsh(jacobian(np.zeros(g.n), g))[0])
+    return float(0.5 / -_synchrony_spectrum(g)[0])
+
+
+def _proven(th: np.ndarray, k1: np.ndarray, edge_ends: tuple[np.ndarray, np.ndarray],
+            c_lambda2: float) -> np.ndarray:
+    """Rows of th whose limit is proven (see integrate_batch). The margin
+    pi/2 - max_e |wrap(dtheta_e)| is read as arcsin(min_e cos(dtheta_e)),
+    which needs no wrap."""
+    tails, heads = edge_ends
+    flat = th.ravel()
+    m = np.arcsin(np.cos(flat[tails] - flat[heads]).reshape(th.shape[0], -1).min(axis=1))
+    k1_norm = np.sqrt(np.einsum("ij,ij->i", k1, k1))
+    return (m > 0) & (6.0 * np.sqrt(2.0) * k1_norm < m * c_lambda2 * np.sin(m / 2))
 
 
 @dataclass
@@ -180,7 +198,8 @@ def integrate(theta0: np.ndarray, g: Graph, omega: np.ndarray | None = None,
 
 def integrate_batch(thetas: np.ndarray, g: Graph, omega: np.ndarray | None = None,
                     dt: float = DEFAULT_DT, t_max: float = DEFAULT_T_MAX,
-                    conv_tol: float = DEFAULT_CONV_TOL, record_stride: int | None = None
+                    conv_tol: float = DEFAULT_CONV_TOL, record_stride: int | None = None,
+                    certify: bool = False
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list | None]:
     """Fixed-step classical RK4 integration of many states until each locks.
 
@@ -190,6 +209,31 @@ def integrate_batch(thetas: np.ndarray, g: Graph, omega: np.ndarray | None = Non
     batch may pass record_stride to collect every stride-th raw state (plus
     the final one) as (t, theta) pairs. Returns (final canonical states,
     converged flags, elapsed times, trajectory or None).
+
+    With certify, a row also stops, as converged, once the limit of the
+    flow from it is proven: its cohesion margin
+    m = pi/2 - max_e |wrap(theta_tail - theta_head)| is positive and
+    6 sqrt(2) |k1|_2 < m c sin(m/2) lambda_2(L), k1 being the rhs the
+    lock test reads and lambda_2 the Laplacian's algebraic connectivity.
+    Such a state carries the winding of the stable cohesive equilibrium
+    the flow converges to. Proof: the flow descends
+    V = -c sum_e cos(dtheta_e) - omega.theta and keeps the mean phase.
+    Let S be the set of states whose edge differences lie within m/2 of
+    theta's. On S every cos(dtheta_e) >= sin(m/2), so the Hessian of V,
+    c B diag(cos) B^T, is at least mu = c sin(m/2) lambda_2 off the
+    rotation mode (Dorfler & Bullo, Automatica 50, 1539, 2014); omega
+    does not enter it. V is thus mu-strongly convex on the convex set S
+    (Boyd & Vandenberghe, Convex Optimization, 9.1.2), and every point of
+    S with V <= V(theta) lies within 2 |k1|_2 / mu of theta, so its edge
+    differences lie within 2 sqrt(2) |k1|_2 / mu < m/3 of theta's: strictly
+    inside S (4 sqrt(2) would do; the factor 3/2 spare also covers the
+    rounding in m and |k1|).
+    The flow never raises V, so it stays in S and converges to the
+    minimiser of V there. That is an equilibrium whose edge differences
+    are theta's moved by less than m/3 each: cohesive, hence stable, and
+    carrying theta's winding, since the moves are the edge differences of
+    one displacement and sum to zero around every cycle. A row that never
+    certifies runs on to the lock test.
     """
     if not (0 < dt < np.inf and 0 < t_max < np.inf and t_max / dt <= MAX_RK4_STEPS):
         raise ParameterDomainError(
@@ -211,6 +255,7 @@ def integrate_batch(thetas: np.ndarray, g: Graph, omega: np.ndarray | None = Non
     active = np.arange(m)
     all_ends = rows_ends = batch_edge_ends(g, m)
     trajectory = [] if record_stride else None
+    c_lambda2 = -_synchrony_spectrum(g)[-2] if certify else 0.0
     steps = int(np.ceil(t_max / dt))
     t = 0.0
     for step in range(steps + 1):
@@ -218,6 +263,8 @@ def integrate_batch(thetas: np.ndarray, g: Graph, omega: np.ndarray | None = Non
         if trajectory is not None and step % record_stride == 0:
             trajectory.append((t, th[0].copy()))
         done = (np.abs(k1) < conv_tol).all(axis=1)
+        if certify:
+            done |= _proven(th, k1, rows_ends, c_lambda2)
         if done.any():
             idx = active[done]
             final[idx] = th[done]

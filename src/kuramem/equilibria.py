@@ -280,36 +280,51 @@ def audit_spurious(g: Graph, known: list[Equilibrium], trials: int,
     """Random-restart the dynamics and match every limit against `known`.
 
     Initial states are drawn once, up front, from the seeded generator
-    and relax at lock_dt(g). Results are identical however the
+    and relax at lock_dt(g), each until its limit is proven or it locks
+    (integrate_batch with certify). Results are identical however the
     integration work is split: into blocks of at most AUDIT_CHUNK_ROWS
     rows (which bounds the RK4 working set, about (10n + 6E)*8 bytes a
     row), and at least one block per job.
-    A converged limit matches a known equilibrium when it is phase-cohesive
-    and carries that equilibrium's winding vector: a cohesive equilibrium
-    is unique for its winding, so no distance test is needed. Any other
-    limit is classified, and a stable one is a spurious-memory finding.
+    A limit matches a known equilibrium when it is phase-cohesive and
+    carries that equilibrium's winding vector: a cohesive equilibrium is
+    unique for its winding, so no distance test is needed. Any other row
+    relaxes on to a lock (for up to DEFAULT_T_MAX more) and is classified
+    there; a stable one is a spurious-memory finding. A count of trials
+    outside 0..ENUMERATION_BUDGET raises ParameterDomainError before
+    anything is drawn.
     """
-    if trials < 0:
-        raise ParameterDomainError(f"trials must be >= 0, got {trials}")
+    if not 0 <= trials <= ENUMERATION_BUDGET:
+        raise ParameterDomainError(f"trials must be in 0..{ENUMERATION_BUDGET}, got {trials}")
     report = AuditReport(trials=trials)
     if trials == 0:
         return report
     rng = np.random.default_rng(seed)
     states = rng.uniform(-np.pi, np.pi, size=(trials, g.n))
+    dt = lock_dt(g)
 
-    blocks = np.array_split(states, max(-(-trials // AUDIT_CHUNK_ROWS), min(jobs, trials)))
-    results = _map(partial(integrate_batch, g=g, dt=lock_dt(g)), blocks, jobs)
-    finals = np.vstack([r[0] for r in results])
-    converged = np.concatenate([r[1] for r in results])
+    def relax(states: np.ndarray, certify: bool) -> tuple[np.ndarray, np.ndarray]:
+        rows = len(states)
+        blocks = np.array_split(states, max(-(-rows // AUDIT_CHUNK_ROWS), min(jobs, rows)))
+        results = _map(partial(integrate_batch, g=g, dt=dt, certify=certify), blocks, jobs)
+        return np.vstack([r[0] for r in results]), np.concatenate([r[1] for r in results])
 
+    finals, converged = relax(states, certify=True)
     report.non_converged = trials - int(converged.sum())
     limits = finals[converged]
     known_windings = {eq.winding for eq in known}
+    rest = []
+    for theta, w in zip(limits, map(tuple, winding_vector(limits, g).tolist())):
+        if is_phase_cohesive(theta, g) and w in known_windings:
+            report.match_counts[w] = report.match_counts.get(w, 0) + 1
+        else:
+            rest.append(theta)
+    if not rest:
+        return report
+    locked, converged = relax(np.array(rest), certify=False)
+    report.non_converged += len(rest) - int(converged.sum())
+    limits = locked[converged]
     for theta, w in zip(limits, map(tuple, winding_vector(limits, g).tolist())):
         cohesive = is_phase_cohesive(theta, g)
-        if cohesive and w in known_windings:
-            report.match_counts[w] = report.match_counts.get(w, 0) + 1
-            continue
         if classify_stability(theta, g, residual_tol=SETTLED_RESIDUAL_TOL).is_stable:
             report.unmatched_stable.append(Equilibrium(theta=theta, winding=w,
                                                        cohesive=cohesive))

@@ -460,6 +460,9 @@ def _g9_equilibria(edit: str) -> bytes:
     # an equilibria file is checked row by row as outside input
     *[pytest.param(["audit", "--trials", "3", "--equilibria"], _g9_equilibria(edit),
                    id=f"audit-{edit}") for edit in EQ9_EDITS],
+    # a sound file, but more trials than the enumeration budget
+    pytest.param(["audit", "--trials", "100000000000", "--equilibria"],
+                 _g9_enumerated().encode(), id="audit-trials-above-budget"),
 ])
 def test_malformed_input_file_exits_2(tmp_path, g9, args, content):
     (tmp_path / "input").write_bytes(content)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,11 @@ from hypothesis import strategies as st
 from kuramem import (NotAnEquilibriumError, ParameterDomainError, build_honeycomb,
                      build_hex_array, build_square_array, canonicalize,
                      classify_stability, construct_config, degrees, energy,
-                     integrate, jacobian, lock_dt, rhs, wrap_angle)
-from kuramem.dynamics import DEFAULT_ZERO_TOL, MAX_RK4_STEPS, integrate_batch
+                     integrate, is_phase_cohesive, jacobian, lock_dt, rhs,
+                     winding_box, winding_constrained_solve, winding_vector, wrap_angle)
+from kuramem.dynamics import (DEFAULT_DT, DEFAULT_T_MAX, DEFAULT_ZERO_TOL, MAX_RK4_STEPS,
+                              integrate_batch)
+from kuramem.equilibria import _spread_initial
 from test_graphs import ALL_BUILDERS, canonical_distance, oriented_incidence
 
 FD_STEP = 1e-6
@@ -294,3 +299,107 @@ def test_batch_integration_matches_single():
             assert t_elapsed[i] == single.t_elapsed
     with pytest.raises(ParameterDomainError):
         integrate_batch(starts, g, record_stride=1)    # trajectories are for one row
+
+
+# a conv_tol only an exactly zero rhs gets below: any other row stops only
+# when certified
+PROOF_ONLY = 1e-300
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=st.sampled_from(ALL_BUILDERS), noise=st.sampled_from([0.1, 0.5, 1.0, np.pi]),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_certified_row_is_cohesive_and_keeps_the_locked_winding(case, noise, seed):
+    # row 0 is the stable equilibrium of a random box winding (synchrony
+    # when that winding has none), the others start around it;
+    # a certified row must carry the winding that relaxing the same start
+    # to a lock reaches, at lock_dt and at the trajectory step
+    builder, params = case
+    g = builder(*params)
+    rng = np.random.default_rng(seed)
+    eq = winding_constrained_solve(g, [rng.integers(r.start, r.stop) for r in winding_box(g)])
+    base = np.zeros(g.n) if eq is None else eq.theta
+    starts = np.vstack([base, base + rng.uniform(-noise, noise, (2, g.n))])
+    dt = lock_dt(g)
+    final, proven, t, _ = integrate_batch(starts, g, dt=dt, t_max=100.0,
+                                          conv_tol=PROOF_ONLY, certify=True)
+    assert proven[0] and t[0] == 0.0
+    edge_max = np.abs(wrap_angle(starts[:, g.edge_tails] - starts[:, g.edge_heads])).max(axis=1)
+    assert not (proven & (t == 0.0) & (edge_max >= np.pi / 2)).any()
+    assert all(is_phase_cohesive(theta, g) for theta in final[proven])
+    for step in (dt, DEFAULT_DT):
+        locked, ok, _, _ = integrate_batch(starts[proven], g, dt=step)
+        np.testing.assert_array_equal(winding_vector(final[proven][ok], g),
+                                      winding_vector(locked[ok], g))
+
+
+def test_the_certificate_is_the_stated_rule():
+    # reference: m = pi/2 - max |wrap(dtheta)| > 0 and
+    # 6 sqrt(2) |rhs|_2 < m c sin(m/2) lambda_2, lambda_2 from the dense
+    # Laplacian; synchrony pushed along the Fiedler vector crosses the
+    # boundary as the push grows
+    g = build_honeycomb(5, 2, coupling=1.5)
+    B = oriented_incidence(g)
+    ev, vecs = np.linalg.eigh(B @ B.T)
+
+    def rule(theta):
+        m = np.pi / 2 - np.abs(wrap_angle(B.T @ theta)).max()
+        return bool(m > 0 and 6 * np.sqrt(2) * np.linalg.norm(rhs(theta, g))
+                    < m * 1.5 * np.sin(m / 2) * ev[1])
+
+    states = [eps * vecs[:, 1] for eps in np.geomspace(0.05, 1.5, 60)]
+    expected = [rule(theta) for theta in states]
+    assert True in expected and False in expected
+    _, proven, t, _ = integrate_batch(np.array(states), g, dt=lock_dt(g), t_max=lock_dt(g),
+                                      conv_tol=PROOF_ONLY, certify=True)
+    assert list(proven & (t == 0.0)) == expected
+
+
+def test_a_cohesive_start_without_an_equilibrium_certifies_the_winding_it_reaches():
+    # on hex 2x2 the spread start of some windings is cohesive though no
+    # equilibrium carries that winding: the flow leaves it for another
+    g = build_hex_array(2, 2)
+    starts = np.array([_spread_initial(g, w) for w in itertools.product(*winding_box(g))])
+    starts = starts[[is_phase_cohesive(theta, g) for theta in starts]]
+    dt = lock_dt(g)
+    final, proven, _, _ = integrate_batch(starts, g, dt=dt, conv_tol=PROOF_ONLY, certify=True)
+    locked, ok, _, _ = integrate_batch(starts, g, dt=dt)
+    assert proven.all() and ok.all()
+    assert (winding_vector(starts, g) != winding_vector(locked, g)).any(axis=1).sum() >= 5
+    np.testing.assert_array_equal(winding_vector(final, g), winding_vector(locked, g))
+
+
+@pytest.mark.parametrize("nc,k", [(5, 2), (6, 2), (9, 3), (9, 4)])
+def test_a_non_cohesive_equilibrium_never_certifies(nc, k):
+    # a ring twisted past its winding bound is stationary to round-off with
+    # every edge at 2*pi*k/nc >= pi/2; a tiny rhs alone must not certify it
+    g = build_honeycomb(nc, 1)
+    twisted = -np.arange(nc) * 2 * np.pi * k / nc
+    mixed = -np.arange(5) * np.pi / 3    # four edges at pi/3, one at 2*pi/3
+    for theta, graph in ((twisted, g), (mixed, build_honeycomb(5, 1))):
+        r = np.abs(rhs(theta, graph)).max()
+        assert 0 < r < 1e-14
+        _, proven, _, _ = integrate_batch(theta[None], graph, dt=lock_dt(graph),
+                                          t_max=lock_dt(graph), conv_tol=PROOF_ONLY,
+                                          certify=True)
+        assert not proven[0]
+
+
+def test_the_certificate_proves_slow_memories_the_lock_test_misses():
+    # hex 1x3's (1,1,1) equilibrium is barely stable: from +-0.1 noise most
+    # rows still creep when t_max runs out, yet each one's limit is proven
+    g = build_hex_array(1, 3)
+    eq = winding_constrained_solve(g, (1, 1, 1))
+    starts = eq.theta + np.random.default_rng(3).uniform(-0.1, 0.1, (40, g.n))
+    dt = lock_dt(g)
+    _, locked, _, _ = integrate_batch(starts, g, dt=dt, t_max=DEFAULT_T_MAX)
+    assert locked.sum() == 13
+    final, proven, t, _ = integrate_batch(starts, g, dt=dt, t_max=DEFAULT_T_MAX,
+                                          conv_tol=PROOF_ONLY, certify=True)
+    assert proven.all() and t.max() <= 658
+    windings = winding_vector(final, g)
+    assert [tuple(w) for w in windings.tolist()].count((1, 1, 1)) == 28
+    late = np.flatnonzero(~locked)[:3]
+    limits, ok, _, _ = integrate_batch(starts[late], g, dt=dt, t_max=20 * DEFAULT_T_MAX)
+    assert ok.all()
+    np.testing.assert_array_equal(winding_vector(limits, g), windings[late])

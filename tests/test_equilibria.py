@@ -1,6 +1,7 @@
 import itertools
 import json
 from collections import Counter
+from functools import cache
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from kuramem import (EnumerationBudgetError, ParameterDomainError,
                      winding_vector, wrap_angle)
 from kuramem import equilibria
 from kuramem.dynamics import DEFAULT_CONV_TOL, DEFAULT_DT, integrate_batch, lock_dt
-from kuramem.equilibria import (SETTLED_RESIDUAL_TOL, equilibria_from_json,
-                                equilibria_to_json)
+from kuramem.equilibria import (ENUMERATION_BUDGET, SETTLED_RESIDUAL_TOL,
+                                equilibria_from_json, equilibria_to_json)
 from test_graphs import ALL_BUILDERS, canonical_distance
 
 
@@ -231,12 +232,18 @@ def test_enumerated_hits_pass_the_eigen_check(builder, params):
         assert entry["eigen_max_nonzero"] == verdict.max_nonzero_eigenvalue()
 
 
+@cache
+def enumerated(builder, params):
+    """A graph and its enumerated equilibria, shared by the tests that read them."""
+    g = builder(*params)
+    return g, enumerate_exact(g)
+
+
 @pytest.mark.parametrize("builder,params", [(build_honeycomb, (5, 2)),
                                             (build_hex_array, (2, 2)),
                                             (build_square_array, (2, 2))])
 def test_equilibria_file_round_trips_bit_for_bit(builder, params):
-    g = builder(*params)
-    eqs = enumerate_exact(g)
+    g, eqs = enumerated(builder, params)
     g2, eqs2 = equilibria_from_json(equilibria_to_json(g, eqs))
     assert g2 == g
     assert [eq.winding for eq in eqs2] == [eq.winding for eq in eqs]
@@ -383,6 +390,28 @@ def test_audit_at_lock_dt_matches_the_trajectory_step(params, trials):
     report = audit_spurious(g, known, trials=trials, seed=3)
     assert report.unmatched == report.non_converged == 0
     assert report.match_counts == Counter(fine)
+
+
+@pytest.mark.parametrize("builder,params,trials,seed", [
+    (build_honeycomb, (5, 2), 1000, 7), (build_honeycomb, (9, 3), 300, 3),
+    (build_hex_array, (2, 2), 200, 3)])
+def test_audit_reports_the_same_with_and_without_the_certificate(
+        monkeypatch, builder, params, trials, seed):
+    g, known = enumerated(builder, params)
+    certified = audit_spurious(g, known, trials, seed=seed).summary_lines()
+    monkeypatch.setattr(equilibria, "integrate_batch",
+                        lambda *args, certify=False, **kwargs: integrate_batch(*args, **kwargs))
+    assert audit_spurious(g, known, trials, seed=seed).summary_lines() == certified
+
+
+def test_audit_refuses_more_trials_than_the_budget_before_drawing(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew states")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    for trials in (-1, ENUMERATION_BUDGET + 1):
+        with pytest.raises(ParameterDomainError, match="trials must be in 0..10000000"):
+            audit_spurious(build_honeycomb(5, 2), [], trials=trials)
 
 
 def test_degree_two_balance_at_stable_equilibria():
