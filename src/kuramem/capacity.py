@@ -44,7 +44,6 @@ class CapacityEstimate:
     ci_high: float = 0.0
     samples: int = 0
     hits: int = 0
-    seed: int = 0
 
     @property
     def count(self) -> float:
@@ -101,7 +100,7 @@ def sample_estimate(g: Graph, samples: int, seed: int = 0, jobs: int = 1) -> Cap
     return CapacityEstimate(box_size=box_size,
                             estimate=box_size * hits / samples,
                             ci_low=box_size * lo, ci_high=box_size * hi,
-                            samples=samples, hits=hits, seed=seed)
+                            samples=samples, hits=hits)
 
 
 # Each topology kind's builder and the names of its two parameters.

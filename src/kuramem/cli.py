@@ -2,9 +2,11 @@
 
 `build` is the only subcommand that takes topology flags; `audit` reads
 the equilibria file that `enumerate -o` writes, and every other one
-reads the graph file that `build` writes. Every subcommand is
-deterministic given its flags and seed; randomized commands take --seed,
-which falls back to the KURAMEM_SEED environment variable and then to 0.
+reads the graph file that `build` writes. Each input has one way in:
+randomized commands take their seed only from --seed (default 0), and
+`experiment` only from its config's "seed" key; `simulate --init FILE`
+reads the {"theta": [...]} object that `store -o` writes. Every
+subcommand is deterministic given its inputs.
 Exit codes: 1 I/O failure, 2 parameter domain error, 3 winding box above
 ENUMERATION_BUDGET, 4 `audit` found a stable spurious memory.
 """
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -28,21 +29,6 @@ from .errors import (EnumerationBudgetError, IntegrationBlowUpError,
 from .graphs import Graph, graph_from_json, graph_to_json
 from .memory import codec_for_graph, decode, retrieve, store
 from .plotting import write_capacity_svg
-
-SEED_ENV = "KURAMEM_SEED"
-
-
-def _resolve_seed(value: int | None) -> int:
-    if value is None:
-        env = os.environ.get(SEED_ENV, "0")
-        try:
-            value = int(env)
-        except ValueError:
-            raise ParameterDomainError(f"{SEED_ENV}={env!r} is not an integer")
-    if value < 0:
-        raise ParameterDomainError(f"seed must be >= 0, got {value}")
-    return value
-
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -93,7 +79,7 @@ def _add_noise(theta0: np.ndarray, args) -> np.ndarray:
             f"--noise must be >= 0 with 2*noise finite, got {args.noise}")
     if args.noise == 0:
         return theta0
-    rng = np.random.default_rng(_resolve_seed(args.seed))
+    rng = np.random.default_rng(args.seed)
     return theta0 + rng.uniform(-args.noise, args.noise, len(theta0))
 
 
@@ -112,7 +98,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_capacity(args) -> int:
     g = _load_graph(args.graph)
-    seed = 0 if args.sample is None else _resolve_seed(args.seed)
+    seed = 0 if args.sample is None else args.seed
     row = count_row("file", 0, 0, g, args.sample, seed, args.jobs)
     _write_output(results_to_csv([row]), args.output)
     return 0
@@ -149,13 +135,15 @@ def cmd_simulate(args) -> int:
     if args.init == "zeros":
         theta0 = np.zeros(g.n)
     elif args.init == "random":
-        rng = np.random.default_rng(_resolve_seed(args.seed))
+        rng = np.random.default_rng(args.seed)
         theta0 = rng.uniform(-np.pi, np.pi, g.n)
     else:
         try:
             payload = json.loads(_read_text(args.init))
-            values = payload["theta"] if isinstance(payload, dict) else payload
-            theta0 = np.asarray([jsonutil.number(x, "state entry") for x in values])
+            if not isinstance(payload, dict):
+                raise TypeError(
+                    f'expected a {{"theta": [...]}} object, got {type(payload).__name__}')
+            theta0 = np.asarray([jsonutil.number(x, "state entry") for x in payload["theta"]])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParameterDomainError(f"malformed state {args.init}: {exc}") from exc
         if len(theta0) != g.n:
@@ -177,8 +165,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_audit(args) -> int:
     g, known = equilibria_from_json(_read_text(args.equilibria))
-    report = audit_spurious(g, known, args.trials, seed=_resolve_seed(args.seed),
-                            jobs=args.jobs)
+    report = audit_spurious(g, known, args.trials, seed=args.seed, jobs=args.jobs)
     _write_output("\n".join(report.summary_lines()) + "\n", args.output)
     return 0 if not report.unmatched_stable else 4
 
@@ -191,8 +178,6 @@ def cmd_experiment(args) -> int:
     if not isinstance(config, dict):
         raise ParameterDomainError(
             f"malformed experiment config: expected a JSON object, got {type(config).__name__}")
-    if args.seed is not None or SEED_ENV in os.environ:
-        config["seed"] = _resolve_seed(args.seed)
     rows = run_experiment(config, jobs=args.jobs)
     _write_output(results_to_csv(rows), args.output)
     return 0
@@ -228,7 +213,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--sample", type=int, metavar="N",
                    help="estimate from N sampled winding vectors (default: exact count)")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_capacity)
@@ -244,7 +229,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--pattern", required=True)
     p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tmax", type=float, default=DEFAULT_T_MAX)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_retrieve)
@@ -252,9 +237,9 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate and dump a trajectory CSV")
     p.add_argument("--graph", required=True)
     p.add_argument("--init", default="random",
-                   help="'random', 'zeros', or a JSON file with a theta array")
+                   help="'random', 'zeros', or a state file as `store -o` writes it")
     p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dt", type=float, default=DEFAULT_DT)
     p.add_argument("--tmax", type=float, default=DEFAULT_T_MAX)
     p.add_argument("--conv-tol", type=float, default=DEFAULT_CONV_TOL)
@@ -266,14 +251,14 @@ def _parser() -> argparse.ArgumentParser:
                                      "beyond the equilibria `enumerate -o` wrote")
     p.add_argument("--equilibria", required=True, metavar="FILE")
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("experiment", help="run a capacity sweep from a config file")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--config", required=True,
+                   help="JSON sweep config; its \"seed\" key seeds the sampled rows")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_experiment)
@@ -291,6 +276,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "jobs", 1) < 1:
             raise ParameterDomainError(f"--jobs must be >= 1, got {args.jobs}")
+        if getattr(args, "seed", 0) < 0:
+            raise ParameterDomainError(f"seed must be >= 0, got {args.seed}")
         return args.func(args)
     except EnumerationBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -257,8 +257,8 @@ def integrate_batch(thetas: np.ndarray, g: Graph, omega: np.ndarray | None = Non
     trajectory = [] if record_stride else None
     c_lambda2 = -_synchrony_spectrum(g)[-2] if certify else 0.0
     steps = int(np.ceil(t_max / dt))
-    t = 0.0
     for step in range(steps + 1):
+        t = step * dt   # not a running sum, which drifts by an ulp a step
         k1 = rhs(th, g, omega, rows_ends)
         if trajectory is not None and step % record_stride == 0:
             trajectory.append((t, th[0].copy()))
@@ -283,7 +283,6 @@ def integrate_batch(thetas: np.ndarray, g: Graph, omega: np.ndarray | None = Non
         th = th + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(th)):
             raise IntegrationBlowUpError(f"non-finite state at t = {t:.6g}")
-        t += dt
     if active.size:
         final[active] = th
         t_elapsed[active] = t

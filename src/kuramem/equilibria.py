@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -218,13 +219,15 @@ def winding_constrained_solve(g: Graph, winding) -> Equilibrium | None:
 
 
 def _map(fn, items: list, jobs: int) -> list:
-    """[fn(x) for x in items], spread over `jobs` worker processes when
-    jobs > 1. Results come back in input order either way."""
-    if jobs <= 1 or len(items) <= 1:
+    """[fn(x) for x in items], spread over at most `jobs` worker processes,
+    never more than there are items or CPUs (a fork start method starts
+    every worker up front). Results come back in input order either way."""
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(x) for x in items]
     from concurrent.futures import ProcessPoolExecutor   # here: loads multiprocessing
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
 
 
 def enumerate_exact(g: Graph, jobs: int = 1) -> list[Equilibrium]:

@@ -18,7 +18,6 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def run_cli(args, cwd, env_extra=None):
     env = dict(os.environ)
-    env.pop("KURAMEM_SEED", None)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
@@ -51,14 +50,45 @@ def _readme_blocks(lang, heading="Command line"):
             if b.startswith(lang + "\n")]
 
 
-def test_readme_command_line_runs_as_written(tmp_path):
+def _without_wall_ms(csv_text):
+    return [line.rsplit(",", 1)[0] for line in csv_text.strip().split("\n")]
+
+
+def _cut_wall_ms(text):
+    """A results CSV without its wall-clock column; any other text as is."""
+    return _without_wall_ms(text) if text.split("\n", 1)[0].endswith(",wall_ms") else text
+
+
+def _run_readme_commands(cwd, env_extra=None):
+    """Run README's command block in cwd. Returns every command's stdout and
+    stderr and every file left in cwd, wall-clock columns cut."""
     (commands,), (config,) = _readme_blocks("bash"), _readme_blocks("json")
-    (tmp_path / "experiment.json").write_text(config)
+    (cwd / "experiment.json").write_text(config)
     lines = [line for line in commands.splitlines() if line.startswith("kuramem ")]
     assert len(lines) == 11
+    outputs = {}
     for line in lines:
-        res = run_cli(shlex.split(line)[1:], tmp_path)
+        res = run_cli(shlex.split(line)[1:], cwd, env_extra)
         assert res.returncode == 0, (line, res.stderr)
+        outputs[line] = (_cut_wall_ms(res.stdout), res.stderr)
+    for path in sorted(cwd.iterdir()):
+        outputs[path.name] = _cut_wall_ms(path.read_bytes().decode("utf-8"))
+    return outputs
+
+
+@pytest.fixture(scope="module")
+def readme_outputs(tmp_path_factory):
+    return _run_readme_commands(tmp_path_factory.mktemp("readme"))
+
+
+def test_readme_command_line_runs_as_written(readme_outputs):
+    assert {"g9.json", "hex22.json", "eq.json", "state.json", "traj.csv",
+            "results.csv", "capacity.svg"} <= set(readme_outputs)
+
+
+def test_readme_commands_ignore_a_seed_in_the_environment(tmp_path, readme_outputs):
+    # --seed and an experiment config's "seed" are the only ways in
+    assert _run_readme_commands(tmp_path, {"KURAMEM_SEED": "99"}) == readme_outputs
 
 
 def test_readme_library_quick_start_runs_as_written():
@@ -178,10 +208,6 @@ def test_capacity_sampled_from_graph_file(tmp_path, g9):
     assert float(row[5]) == 9.0
 
 
-def _without_wall_ms(csv_text):
-    return [line.rsplit(",", 1)[0] for line in csv_text.strip().split("\n")]
-
-
 def test_capacity_sample_jobs_match_serial(tmp_path):
     build = run_cli(["build", "--topology", "hex", "--rows", "3", "--cols", "3",
                      "-o", "hex33.json"], tmp_path)
@@ -262,17 +288,6 @@ def test_retrieve_with_noise_recovers(tmp_path, g9):
                    "--noise", "0.1", "--seed", "42"], tmp_path)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split("\n")[0] == "1001"
-
-
-def test_retrieve_seed_env_var_and_flag_priority(tmp_path, g9):
-    base = run_cli(["retrieve", "--graph", "g9.json", "--pattern", "0110",
-                    "--noise", "0.3", "--seed", "7"], tmp_path)
-    via_env = run_cli(["retrieve", "--graph", "g9.json", "--pattern", "0110",
-                       "--noise", "0.3"], tmp_path, {"KURAMEM_SEED": "7"})
-    flag_wins = run_cli(["retrieve", "--graph", "g9.json", "--pattern", "0110",
-                         "--noise", "0.3", "--seed", "7"], tmp_path,
-                        {"KURAMEM_SEED": "99"})
-    assert base.stdout == via_env.stdout == flag_wins.stdout
 
 
 def test_retrieve_rejects_bad_pattern(tmp_path, g9):
@@ -456,7 +471,11 @@ def _g9_equilibria(edit: str) -> bytes:
     *[pytest.param(["simulate", "--graph", "g9.json", "--init"],
                    b'{"theta": [%s, 0, 0, 0, 0, 0, 0, 0, 0]}' % entry, id=f"init-{name}")
       for name, entry in [("string", b'"0.1"'), ("bool", b"true"),
-                          ("400-digit-int", b"1" + b"0" * 400)]],
+                          ("400-digit-int", b"1" + b"0" * 400), ("NaN", b"NaN"),
+                          ("Infinity", b"Infinity")]],
+    # a state file is the object `store -o` writes, not a bare theta array
+    pytest.param(["simulate", "--graph", "g9.json", "--init"], b"[0, 0, 0, 0, 0, 0, 0, 0, 0]",
+                 id="init-bare-array"),
     # an equilibria file is checked row by row as outside input
     *[pytest.param(["audit", "--trials", "3", "--equilibria"], _g9_equilibria(edit),
                    id=f"audit-{edit}") for edit in EQ9_EDITS],
@@ -473,7 +492,9 @@ def test_malformed_input_file_exits_2(tmp_path, g9, args, content):
 
 
 @pytest.mark.parametrize("content", [b"[1]", b'"x"'])
-@pytest.mark.parametrize("seed_args,env", [([], None), (["--seed", "1"], None),
+# the config is checked before any option acts or a seed in the environment could;
+# the names keep the case ids of when experiment also took --seed
+@pytest.mark.parametrize("seed_args,env", [([], None), (["--jobs", "2", "-o", "out.csv"], None),
                                            ([], {"KURAMEM_SEED": "1"})])
 def test_experiment_config_that_is_not_an_object_exits_2(tmp_path, content, seed_args, env):
     (tmp_path / "exp.json").write_bytes(content)
@@ -482,6 +503,15 @@ def test_experiment_config_that_is_not_an_object_exits_2(tmp_path, content, seed
     assert res.stderr.startswith("error: malformed experiment config")
     assert len(res.stderr.splitlines()) == 1
     assert res.stdout == ""
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_experiment_takes_no_seed_flag(tmp_path):
+    # the config's "seed" key is the one place an experiment's seed is set
+    (tmp_path / "exp.json").write_text('{"seed": 5}')
+    res = run_cli(["experiment", "--config", "exp.json", "--seed", "1"], tmp_path)
+    assert res.returncode == 2
+    assert "unrecognized arguments: --seed 1" in res.stderr and res.stdout == ""
 
 
 def test_plot_skips_rows_it_cannot_place():

@@ -285,6 +285,20 @@ def test_trajectory_recording_stride():
     assert times[-1] == pytest.approx(res.t_elapsed)
 
 
+def test_elapsed_and_recorded_times_are_step_counts_times_dt():
+    # t is the step index times dt, not a running sum that drifts an ulp a step
+    g = build_honeycomb(5, 2)
+    rng = np.random.default_rng(23)
+    dt, stride = 0.01, 10
+    res = integrate(rng.uniform(-np.pi, np.pi, g.n), g, dt=dt, t_max=1.0,
+                    conv_tol=1e-15, record_stride=stride)
+    assert not res.converged
+    assert res.t_elapsed == int(np.ceil(1.0 / dt)) * dt == 1.0
+    times = [t for t, _ in res.trajectory]
+    assert times == [k * stride * dt for k in range(len(times))]
+    assert len(times) == 11
+
+
 def test_batch_integration_matches_single():
     g = build_honeycomb(5, 2)
     rng = np.random.default_rng(29)

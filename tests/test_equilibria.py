@@ -284,6 +284,38 @@ def test_enumerate_parallel_matches_serial():
         assert canonical_distance(a.theta, b.theta) < 1e-12
 
 
+@pytest.mark.parametrize("jobs,items,cpus,workers", [
+    (500, 3, 8, 3), (500, 3, 2, 2), (2, 3, 8, 2),
+    (500, 3, None, None), (500, 3, 1, None), (4, 1, 8, None), (1, 3, 8, None),
+])
+def test_map_starts_no_more_workers_than_items_or_cpus(monkeypatch, jobs, items,
+                                                       cpus, workers):
+    # a stand-in pool records the worker count it is asked for and starts
+    # no process; workers None means the serial path, which asks for none
+    import concurrent.futures
+
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, xs, chunksize=1):
+            return map(fn, xs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(equilibria.os, "cpu_count", lambda: cpus)
+    xs = list(range(-1, -items - 1, -1))
+    assert equilibria._map(abs, xs, jobs) == [-x for x in xs]
+    assert requested == ([] if workers is None else [workers])
+
+
 def test_equal_difference_within_each_ring():
     # consecutive path steps inside one ring agree at every equilibrium
     g = build_honeycomb(5, 2)
