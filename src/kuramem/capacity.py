@@ -163,12 +163,14 @@ def run_experiment(config: dict, jobs: int = 1) -> list[dict]:
     kinds or {"topology": ..., "sizes": [[r, c], ...]} for arrays. Rows
     whose winding box is at most exact_threshold are enumerated exactly,
     the rest sampled, each by count_row. The whole sweep is checked before
-    the first count: a malformed or unknown key, samples outside
-    1..ENUMERATION_BUDGET, an exact_threshold above it or a family its
-    builder refuses raises ParameterDomainError. Any error raised while
-    counting propagates.
+    the first count: a config that is not a dict, a malformed or unknown
+    key, samples outside 1..ENUMERATION_BUDGET, an exact_threshold above
+    it or a family its builder refuses raises ParameterDomainError. Any
+    error raised while counting propagates.
     """
     try:
+        if not isinstance(config, dict):
+            raise TypeError(f"expected a JSON object, got {type(config).__name__}")
         if not set(config) <= CONFIG_KEYS:
             raise ParameterDomainError(f"keys must be among {sorted(CONFIG_KEYS)}")
         base_seed = integer(config.get("seed", 0), "seed")

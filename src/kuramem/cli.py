@@ -21,7 +21,7 @@ import numpy as np
 from . import jsonutil
 from .capacity import (BUILDERS, build_topology, count_row, results_to_csv,
                        run_experiment)
-from .dynamics import DEFAULT_CONV_TOL, DEFAULT_DT, DEFAULT_T_MAX, integrate
+from .dynamics import DEFAULT_DT, DEFAULT_T_MAX, integrate
 from .equilibria import (audit_spurious, enumerate_exact, equilibria_from_json,
                          equilibria_to_json)
 from .errors import (EnumerationBudgetError, IntegrationBlowUpError,
@@ -72,14 +72,14 @@ def _add_topology_flags(p: argparse.ArgumentParser) -> None:
                    help="uniform edge weight (default 1.0)")
 
 
-def _add_noise(theta0: np.ndarray, args) -> np.ndarray:
-    """theta0 plus uniform noise in [-noise, noise], drawn from --seed."""
+def _add_noise(theta0: np.ndarray, args, rng: np.random.Generator) -> np.ndarray:
+    """theta0 plus uniform noise in [-noise, noise], drawn from rng, the
+    command's one generator (seeded by --seed)."""
     if not 0 <= 2 * args.noise < np.inf:
         raise ParameterDomainError(
             f"--noise must be >= 0 with 2*noise finite, got {args.noise}")
     if args.noise == 0:
         return theta0
-    rng = np.random.default_rng(args.seed)
     return theta0 + rng.uniform(-args.noise, args.noise, len(theta0))
 
 
@@ -120,7 +120,7 @@ def cmd_store(args) -> int:
 def cmd_retrieve(args) -> int:
     g = _load_graph(args.graph)
     codec = codec_for_graph(g)
-    theta0 = _add_noise(store(args.pattern, codec), args)
+    theta0 = _add_noise(store(args.pattern, codec), args, np.random.default_rng(args.seed))
     bits, diag = retrieve(theta0, codec, g, t_max=args.tmax)
     lines = [bits,
              f"t_converged: {diag.t_converged:.6g}",
@@ -132,10 +132,10 @@ def cmd_retrieve(args) -> int:
 
 def cmd_simulate(args) -> int:
     g = _load_graph(args.graph)
+    rng = np.random.default_rng(args.seed)
     if args.init == "zeros":
         theta0 = np.zeros(g.n)
     elif args.init == "random":
-        rng = np.random.default_rng(args.seed)
         theta0 = rng.uniform(-np.pi, np.pi, g.n)
     else:
         try:
@@ -149,9 +149,8 @@ def cmd_simulate(args) -> int:
         if len(theta0) != g.n:
             raise ParameterDomainError(
                 f"initial state has {len(theta0)} entries, graph has {g.n}")
-    theta0 = _add_noise(theta0, args)
-    result = integrate(theta0, g, dt=args.dt, t_max=args.tmax,
-                       conv_tol=args.conv_tol, record_stride=args.stride)
+    theta0 = _add_noise(theta0, args, rng)
+    result = integrate(theta0, g, dt=args.dt, t_max=args.tmax, record_stride=args.stride)
     header = "t," + ",".join(f"theta_{i}" for i in range(1, g.n + 1))
     lines = [header]
     for t, th in result.trajectory:
@@ -175,9 +174,6 @@ def cmd_experiment(args) -> int:
         config = json.loads(_read_text(args.config))
     except ValueError as exc:
         raise ParameterDomainError(f"malformed config {args.config}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ParameterDomainError(
-            f"malformed experiment config: expected a JSON object, got {type(config).__name__}")
     rows = run_experiment(config, jobs=args.jobs)
     _write_output(results_to_csv(rows), args.output)
     return 0
@@ -242,7 +238,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dt", type=float, default=DEFAULT_DT)
     p.add_argument("--tmax", type=float, default=DEFAULT_T_MAX)
-    p.add_argument("--conv-tol", type=float, default=DEFAULT_CONV_TOL)
     p.add_argument("--stride", type=int, default=10)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_simulate)

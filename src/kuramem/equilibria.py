@@ -19,8 +19,9 @@ from functools import partial
 import numpy as np
 
 from . import jsonutil
-from .dynamics import (DEFAULT_CONV_TOL, canonicalize, classify_stability,
-                       energy, integrate_batch, lock_dt, rhs, wrap_angle)
+from .dynamics import (DEFAULT_CONV_TOL, SETTLED_RESIDUAL_TOL, canonicalize,
+                       classify_stability, energy, integrate_batch, lock_dt, rhs,
+                       wrap_angle)
 from .errors import NonIntegerWindingError, ParameterDomainError, EnumerationBudgetError
 from .graphs import Graph, graph_from_payload, graph_payload
 
@@ -32,10 +33,6 @@ AUDIT_CHUNK_ROWS = 256
 SOLVER_RETRIES = 5
 PERTURB_AMPLITUDE = 0.1
 ENUMERATION_BUDGET = 10_000_000
-# |rhs| accepted at a state that met DEFAULT_CONV_TOL before it was
-# gauge-shifted, re-wrapped or written out, each of which moves every sin
-# term by a few ulp.
-SETTLED_RESIDUAL_TOL = 10 * DEFAULT_CONV_TOL
 
 # Backtracking line search on the coupling energy.
 DESCENT_STEP0 = 0.1
@@ -328,7 +325,7 @@ def audit_spurious(g: Graph, known: list[Equilibrium], trials: int,
     limits = locked[converged]
     for theta, w in zip(limits, map(tuple, winding_vector(limits, g).tolist())):
         cohesive = is_phase_cohesive(theta, g)
-        if classify_stability(theta, g, residual_tol=SETTLED_RESIDUAL_TOL).is_stable:
+        if classify_stability(theta, g).is_stable:
             report.unmatched_stable.append(Equilibrium(theta=theta, winding=w,
                                                        cohesive=cohesive))
         else:
@@ -345,8 +342,7 @@ def equilibria_to_json(g: Graph, eqs: list[Equilibrium]) -> str:
             {
                 "winding": list(eq.winding),
                 "theta": [float(x) for x in eq.theta],
-                "eigen_max_nonzero": classify_stability(
-                    eq.theta, g, residual_tol=SETTLED_RESIDUAL_TOL).max_nonzero_eigenvalue(),
+                "eigen_max_nonzero": classify_stability(eq.theta, g).max_nonzero_eigenvalue(),
                 "cohesive": eq.cohesive,
             }
             for eq in eqs

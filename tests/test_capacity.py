@@ -186,6 +186,14 @@ def test_experiment_refuses_a_bad_sweep_setting(config, match):
         run_experiment({**config, "families": families})
 
 
+@pytest.mark.parametrize("config,kind", [("seed", "str"), ([], "list"), (5, "int")])
+def test_experiment_config_that_is_not_a_dict_is_refused(config, kind):
+    # the library checks the shape itself, with the message the CLI prints
+    with pytest.raises(ParameterDomainError, match=rf"^malformed experiment config: "
+                                                   rf"expected a JSON object, got {kind}$"):
+        run_experiment(config)
+
+
 def test_experiment_lets_bugs_propagate(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("bug")

@@ -7,6 +7,7 @@ import sys
 from functools import cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 CLI = [sys.executable, "-m", "kuramem"]
@@ -364,7 +365,7 @@ RETRIEVE = ["retrieve", "--graph", "g9.json", "--pattern", "0110"]
     *[[*cmd, "--noise", v] for cmd in (SIMULATE, RETRIEVE) for v in ("inf", "nan", "-0.1")],
     [*SIMULATE, "--noise", "1e308"],
     ["enumerate", "--graph", "g9.json", "--jobs", "0"],
-    *[[*SIMULATE, "--conv-tol", v] for v in ("nan", "0", "-1", "inf")],
+    *[[*SIMULATE, "--dt", v] for v in ("nan", "0", "-1", "inf")],
     ["capacity", "--graph", "g9.json", "--sample", "0"],
     ["capacity", "--graph", "g9.json", "--sample", "10000001"],
     ["capacity", "--graph", "g9.json", "--sample", "10000000000"],
@@ -381,6 +382,29 @@ def test_retrieve_takes_no_step_flag(tmp_path, g9):
     res = run_cli([*RETRIEVE, "--dt", "0.01"], tmp_path)
     assert res.returncode == 2
     assert "unrecognized arguments: --dt 0.01" in res.stderr and res.stdout == ""
+
+
+def test_simulate_takes_no_convergence_tolerance(tmp_path, g9):
+    # converged means |rhs| < DEFAULT_CONV_TOL for every integrator
+    res = run_cli([*SIMULATE, "--conv-tol", "1e-3"], tmp_path)
+    assert res.returncode == 2
+    assert "unrecognized arguments: --conv-tol 1e-3" in res.stderr and res.stdout == ""
+
+
+def test_simulate_noise_is_independent_of_the_random_start(tmp_path, g9):
+    # one generator per command: the noise is the next draw after the
+    # start, not the start's own draw scaled by noise/pi
+    def first_row(*noise):
+        res = run_cli([*SIMULATE, "--init", "random", "--seed", "3", "--tmax", "0.01",
+                       "--stride", "1", *noise, "-o", "traj.csv"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        row = (tmp_path / "traj.csv").read_text().split("\n")[1]
+        return np.array([float(x) for x in row.split(",")[1:]])
+
+    theta0 = first_row()
+    added = first_row("--noise", "0.1") - theta0
+    assert np.abs(added).max() <= 0.1 and np.abs(added).max() > 0
+    assert np.ptp(added / theta0) > 1e-3
 
 
 @cache

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from kuramem import (NotAnEquilibriumError, ParameterDomainError, build_honeycom
                      classify_stability, construct_config, degrees, energy,
                      integrate, is_phase_cohesive, jacobian, lock_dt, rhs,
                      winding_box, winding_constrained_solve, winding_vector, wrap_angle)
+from kuramem import dynamics
 from kuramem.dynamics import (DEFAULT_DT, DEFAULT_T_MAX, DEFAULT_ZERO_TOL, MAX_RK4_STEPS,
-                              integrate_batch)
+                              SETTLED_RESIDUAL_TOL, integrate_batch)
 from kuramem.equilibria import _spread_initial
 from test_graphs import ALL_BUILDERS, canonical_distance, oriented_incidence
 
@@ -195,6 +197,17 @@ def test_classify_rejects_non_equilibrium():
         classify_stability(rng.uniform(-np.pi, np.pi, g.n), g)
 
 
+def test_classify_refuses_a_state_that_is_not_settled():
+    # the splay state with one phase moved by 1e-7 is nearly stationary,
+    # but above SETTLED_RESIDUAL_TOL, which is what stationary means
+    g = build_honeycomb(5, 1)
+    theta = construct_config([1], 5, 1)
+    theta[2] += 1e-7    # theta_3
+    assert SETTLED_RESIDUAL_TOL < np.max(np.abs(rhs(theta, g))) < 1e-7
+    with pytest.raises(NotAnEquilibriumError):
+        classify_stability(theta, g)
+
+
 def test_integrate_fixed_point_returns_immediately():
     g = build_honeycomb(5, 2)
     theta = construct_config([1, -1], 5, 2)
@@ -278,7 +291,7 @@ def test_trajectory_recording_stride():
     g = build_honeycomb(5, 1)
     rng = np.random.default_rng(23)
     res = integrate(rng.uniform(-np.pi, np.pi, g.n), g, dt=0.01, t_max=0.5,
-                    conv_tol=1e-15, record_stride=10)
+                    record_stride=10)
     times = [t for t, _ in res.trajectory]
     assert times[0] == 0.0
     np.testing.assert_allclose(np.diff(times)[:-1], 0.1, atol=1e-12)
@@ -291,7 +304,7 @@ def test_elapsed_and_recorded_times_are_step_counts_times_dt():
     rng = np.random.default_rng(23)
     dt, stride = 0.01, 10
     res = integrate(rng.uniform(-np.pi, np.pi, g.n), g, dt=dt, t_max=1.0,
-                    conv_tol=1e-15, record_stride=stride)
+                    record_stride=stride)
     assert not res.converged
     assert res.t_elapsed == int(np.ceil(1.0 / dt)) * dt == 1.0
     times = [t for t, _ in res.trajectory]
@@ -315,9 +328,12 @@ def test_batch_integration_matches_single():
         integrate_batch(starts, g, record_stride=1)    # trajectories are for one row
 
 
-# a conv_tol only an exactly zero rhs gets below: any other row stops only
-# when certified
-PROOF_ONLY = 1e-300
+def proven_only(starts, g, **kwargs):
+    """integrate_batch(..., certify=True) with a lock tolerance only an
+    exactly zero rhs gets below, so any other row stops only when
+    certified. The integrator reads DEFAULT_CONV_TOL when it runs."""
+    with mock.patch.object(dynamics, "DEFAULT_CONV_TOL", 1e-300):
+        return integrate_batch(starts, g, certify=True, **kwargs)
 
 
 @settings(max_examples=12, deadline=None)
@@ -335,8 +351,7 @@ def test_a_certified_row_is_cohesive_and_keeps_the_locked_winding(case, noise, s
     base = np.zeros(g.n) if eq is None else eq.theta
     starts = np.vstack([base, base + rng.uniform(-noise, noise, (2, g.n))])
     dt = lock_dt(g)
-    final, proven, t, _ = integrate_batch(starts, g, dt=dt, t_max=100.0,
-                                          conv_tol=PROOF_ONLY, certify=True)
+    final, proven, t, _ = proven_only(starts, g, dt=dt, t_max=100.0)
     assert proven[0] and t[0] == 0.0
     edge_max = np.abs(wrap_angle(starts[:, g.edge_tails] - starts[:, g.edge_heads])).max(axis=1)
     assert not (proven & (t == 0.0) & (edge_max >= np.pi / 2)).any()
@@ -364,8 +379,7 @@ def test_the_certificate_is_the_stated_rule():
     states = [eps * vecs[:, 1] for eps in np.geomspace(0.05, 1.5, 60)]
     expected = [rule(theta) for theta in states]
     assert True in expected and False in expected
-    _, proven, t, _ = integrate_batch(np.array(states), g, dt=lock_dt(g), t_max=lock_dt(g),
-                                      conv_tol=PROOF_ONLY, certify=True)
+    _, proven, t, _ = proven_only(np.array(states), g, dt=lock_dt(g), t_max=lock_dt(g))
     assert list(proven & (t == 0.0)) == expected
 
 
@@ -376,7 +390,7 @@ def test_a_cohesive_start_without_an_equilibrium_certifies_the_winding_it_reache
     starts = np.array([_spread_initial(g, w) for w in itertools.product(*winding_box(g))])
     starts = starts[[is_phase_cohesive(theta, g) for theta in starts]]
     dt = lock_dt(g)
-    final, proven, _, _ = integrate_batch(starts, g, dt=dt, conv_tol=PROOF_ONLY, certify=True)
+    final, proven, _, _ = proven_only(starts, g, dt=dt)
     locked, ok, _, _ = integrate_batch(starts, g, dt=dt)
     assert proven.all() and ok.all()
     assert (winding_vector(starts, g) != winding_vector(locked, g)).any(axis=1).sum() >= 5
@@ -393,9 +407,8 @@ def test_a_non_cohesive_equilibrium_never_certifies(nc, k):
     for theta, graph in ((twisted, g), (mixed, build_honeycomb(5, 1))):
         r = np.abs(rhs(theta, graph)).max()
         assert 0 < r < 1e-14
-        _, proven, _, _ = integrate_batch(theta[None], graph, dt=lock_dt(graph),
-                                          t_max=lock_dt(graph), conv_tol=PROOF_ONLY,
-                                          certify=True)
+        _, proven, _, _ = proven_only(theta[None], graph, dt=lock_dt(graph),
+                                      t_max=lock_dt(graph))
         assert not proven[0]
 
 
@@ -408,8 +421,7 @@ def test_the_certificate_proves_slow_memories_the_lock_test_misses():
     dt = lock_dt(g)
     _, locked, _, _ = integrate_batch(starts, g, dt=dt, t_max=DEFAULT_T_MAX)
     assert locked.sum() == 13
-    final, proven, t, _ = integrate_batch(starts, g, dt=dt, t_max=DEFAULT_T_MAX,
-                                          conv_tol=PROOF_ONLY, certify=True)
+    final, proven, t, _ = proven_only(starts, g, dt=dt, t_max=DEFAULT_T_MAX)
     assert proven.all() and t.max() <= 658
     windings = winding_vector(final, g)
     assert [tuple(w) for w in windings.tolist()].count((1, 1, 1)) == 28
